@@ -445,6 +445,11 @@ serveMetrics()
         {"serve_store_gc_passes", "count",
          "Idle-time result-store garbage-collection passes", true,
          [](const ServeStats &s) { return u64Field(s.gcPasses); }},
+        {"serve_suites_built", "count",
+         "Workload suites built for submits (the full suite at most "
+         "once)",
+         true,
+         [](const ServeStats &s) { return u64Field(s.suitesBuilt); }},
     };
     return table;
 }

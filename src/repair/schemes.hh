@@ -183,6 +183,9 @@ class SnapshotScheme : public RepairScheme
 class LimitedPcScheme : public RepairScheme
 {
   public:
+    /** Largest repair set (RepairConfig::limitedM) the payload holds. */
+    static constexpr unsigned maxM = 16;
+
     LimitedPcScheme(std::unique_ptr<LocalPredictor> lp,
                     const RepairConfig &cfg);
 
@@ -202,7 +205,6 @@ class LimitedPcScheme : public RepairScheme
     bool bhtUsable(Addr pc, Cycle now) const override;
 
   private:
-    static constexpr unsigned maxM = 16;
     static constexpr unsigned payloadRingLog = 13;
 
     struct Payload

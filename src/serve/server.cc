@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstring>
 #include <deque>
 #include <functional>
@@ -91,6 +93,22 @@ class LineSinkBuf : public std::streambuf
     std::string line_;
 };
 
+/**
+ * @p v as a whole number: false for a non-number, fraction, negative,
+ * NaN or infinity, which no cast to an unsigned type may receive.
+ */
+bool
+wholeNumber(const JsonValue &v, double &out)
+{
+    if (v.kind() != JsonValue::Kind::Number)
+        return false;
+    const double n = v.number();
+    if (!std::isfinite(n) || n < 0.0 || n != std::floor(n))
+        return false;
+    out = n;
+    return true;
+}
+
 /** Render the scalars of @p reg as a flat {"name":value,...} object. */
 std::string
 flatCounters(const MetricsRegistry &reg)
@@ -149,7 +167,8 @@ struct Server::Impl
     {
         std::string key;      ///< sweepRequestKey() identity
         SweepSpec spec;
-        std::vector<Program> suite;
+        /** The resident full suite, or this request's capped build. */
+        std::shared_ptr<const std::vector<Program>> suite;
         std::uint64_t cells = 0;
         /** Subscribers as (client fd, request id) pairs. */
         std::vector<std::pair<int, std::string>> subs;
@@ -187,6 +206,13 @@ struct Server::Impl
     bool draining = false;
     Stopwatch drainSw;
     ServeStats st;
+
+    /**
+     * The full suite, built by the first submit that asks for it and
+     * shared by every later one: it is the largest and most requested
+     * build. Capped suites are small and built per request.
+     */
+    std::shared_ptr<const std::vector<Program>> fullSuite;
 
     ServeHistograms hist;          ///< service-latency distributions
     SweepStats sweepTotals;        ///< lifetime fold of executed sweeps
@@ -341,7 +367,7 @@ struct Server::Impl
             so.eventLog = &events;
             so.traceId = req.traceId;
             const SweepResult res =
-                runSweep(req.suite, req.spec.configs, so);
+                runSweep(*req.suite, req.spec.configs, so);
             p.stats = res.stats;
             p.configResults = res.configResults;
             p.body = renderResultBody(res, req.spec.configs);
@@ -632,6 +658,21 @@ struct Server::Impl
 
     // ----- message handling ---------------------------------------
 
+    /** The suite @p spec selects: the resident one if it is full. */
+    std::shared_ptr<const std::vector<Program>>
+    suiteFor(const SweepSpec &spec)
+    {
+        const bool full = specIsFullSuite(spec);
+        if (full && fullSuite)
+            return fullSuite;
+        ++st.suitesBuilt;
+        auto suite = std::make_shared<const std::vector<Program>>(
+            buildSpecSuite(spec));
+        if (full)
+            fullSuite = suite;
+        return suite;
+    }
+
     void
     handleHello(ClientState &c, const JsonValue &msg)
     {
@@ -684,39 +725,41 @@ struct Server::Impl
         }
 
         SweepSpec spec;
+        double n = 0.0;
         if (const JsonValue *v = msg.member("suite")) {
             if (v->kind() == JsonValue::Kind::String &&
                 v->str() == "all") {
                 spec.fullSuite = true;
                 spec.suite = 0;
-            } else if (v->kind() == JsonValue::Kind::Number) {
-                spec.suite = static_cast<unsigned>(v->number());
+            } else if (wholeNumber(*v, n) && n <= UINT_MAX) {
+                // The spec's `suite` directive takes the same range.
+                spec.suite = static_cast<unsigned>(n);
             } else {
                 ++st.requestsRejected;
                 sendRejected(c, id, ServeError::BadRequest,
-                             "suite must be a number or \"all\"");
+                             "suite must be a non-negative integer or "
+                             "\"all\"");
                 return;
             }
         }
+        // 0x1p64 is the first double past the uint64 range.
         if (const JsonValue *v = msg.member("warmup")) {
-            if (v->kind() != JsonValue::Kind::Number) {
+            if (!wholeNumber(*v, n) || n >= 0x1p64) {
                 ++st.requestsRejected;
                 sendRejected(c, id, ServeError::BadRequest,
-                             "warmup must be a number");
+                             "warmup must be a non-negative integer");
                 return;
             }
-            spec.warmupInstrs =
-                static_cast<std::uint64_t>(v->number());
+            spec.warmupInstrs = static_cast<std::uint64_t>(n);
         }
         if (const JsonValue *v = msg.member("instr")) {
-            if (v->kind() != JsonValue::Kind::Number) {
+            if (!wholeNumber(*v, n) || n >= 0x1p64) {
                 ++st.requestsRejected;
                 sendRejected(c, id, ServeError::BadRequest,
-                             "instr must be a number");
+                             "instr must be a non-negative integer");
                 return;
             }
-            spec.measureInstrs =
-                static_cast<std::uint64_t>(v->number());
+            spec.measureInstrs = static_cast<std::uint64_t>(n);
         }
         std::string specText;
         if (const JsonValue *v = msg.member("spec")) {
@@ -735,9 +778,10 @@ struct Server::Impl
             return;
         }
         finalizeSweepSpec(spec);
-        std::vector<Program> suite = buildSpecSuite(spec);
+        std::shared_ptr<const std::vector<Program>> suite =
+            suiteFor(spec);
         const std::uint64_t cells =
-            static_cast<std::uint64_t>(suite.size()) *
+            static_cast<std::uint64_t>(suite->size()) *
             spec.configs.size();
         if (cells == 0) {
             ++st.requestsRejected;
@@ -745,7 +789,7 @@ struct Server::Impl
                          "empty sweep (no configs or no workloads)");
             return;
         }
-        const std::string key = sweepRequestKey(suite, spec.configs);
+        const std::string key = sweepRequestKey(*suite, spec.configs);
 
         // Cross-client dedup: an identical request that is queued or
         // in flight gains a subscriber instead of a new simulation.

@@ -1,9 +1,11 @@
 #include "sim/sweep_spec.hh"
 
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <sstream>
 
+#include "repair/schemes.hh"
 #include "sim/suite_cache.hh"
 #include "workload/suite.hh"
 
@@ -37,6 +39,27 @@ sweepSchemeKind(const std::string &name, RepairKind &kind)
 }
 
 namespace {
+
+/**
+ * Largest OBQ / snapshot queue a config may ask for: each scheme
+ * allocates its queue up front, so the bound keeps a hostile spec from
+ * exhausting memory. The paper's largest structure has 64 entries.
+ */
+constexpr unsigned maxRepairEntries = 4096;
+
+/** @p text as a decimal in [@p lo, @p hi]: no sign, blank or junk. */
+template <typename T>
+bool
+parseBounded(const std::string &text, T lo, T hi, T &out)
+{
+    T v = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || v < lo || v > hi)
+        return false;
+    out = v;
+    return true;
+}
 
 /**
  * Parse one `config` line: scheme name plus optional ports=M-N-P,
@@ -83,12 +106,10 @@ parseConfigLine(std::istringstream &ls, const SweepSpec &spec,
         if (k == "name") {
             out.name = v;
         } else if (k == "ports") {
-            unsigned m = 0, n = 0, p = 0;
-            if (std::sscanf(v.c_str(), "%u-%u-%u", &m, &n, &p) != 3) {
-                error = "spec: ports wants M-N-P";
+            if (!parseRepairPorts(v, out.cfg.repair.ports, error)) {
+                error = "spec: " + error;
                 return false;
             }
-            out.cfg.repair.ports = {m, n, p};
         } else if (k == "loop") {
             if (v == "64")
                 out.cfg.repair.loop = LoopConfig::entries64();
@@ -112,8 +133,10 @@ parseConfigLine(std::istringstream &ls, const SweepSpec &spec,
                 return false;
             }
         } else if (k == "limited-m") {
-            out.cfg.repair.limitedM =
-                static_cast<unsigned>(std::atoi(v.c_str()));
+            if (!parseLimitedM(v, out.cfg.repair.limitedM, error)) {
+                error = "spec: " + error;
+                return false;
+            }
         } else {
             error = "spec: unknown config key '" + k + "'";
             return false;
@@ -123,6 +146,42 @@ parseConfigLine(std::istringstream &ls, const SweepSpec &spec,
 }
 
 } // namespace
+
+bool
+parseRepairPorts(const std::string &text, RepairPorts &out,
+                 std::string &error)
+{
+    // The OBQ needs two entries to tell a branch's first instance from
+    // its last (Obq asserts it); a 0-port structure repairs nothing.
+    const std::size_t d1 = text.find('-');
+    const std::size_t d2 =
+        d1 == std::string::npos ? d1 : text.find('-', d1 + 1);
+    unsigned m = 0, n = 0, p = 0;
+    if (d2 == std::string::npos ||
+        !parseBounded(text.substr(0, d1), 2u, maxRepairEntries, m) ||
+        !parseBounded(text.substr(d1 + 1, d2 - d1 - 1), 1u, UINT_MAX,
+                      n) ||
+        !parseBounded(text.substr(d2 + 1), 1u, UINT_MAX, p)) {
+        error = "ports wants M-N-P with M 2.." +
+                std::to_string(maxRepairEntries) +
+                " and N, P at least 1";
+        return false;
+    }
+    out = {m, n, p};
+    return true;
+}
+
+bool
+parseLimitedM(const std::string &text, unsigned &out,
+              std::string &error)
+{
+    if (!parseBounded(text, 1u, LimitedPcScheme::maxM, out)) {
+        error = "limited-m must be 1.." +
+                std::to_string(LimitedPcScheme::maxM);
+        return false;
+    }
+    return true;
+}
 
 bool
 parseSweepSpecText(const std::string &text, SweepSpec &spec,
@@ -144,15 +203,23 @@ parseSweepSpecText(const std::string &text, SweepSpec &spec,
             if (v == "all") {
                 spec.fullSuite = true;
                 spec.suite = 0;
-            } else {
+            } else if (parseBounded(v, 0u, UINT_MAX, spec.suite)) {
                 spec.fullSuite = false;
-                spec.suite =
-                    static_cast<unsigned>(std::atoi(v.c_str()));
+            } else {
+                error = "spec: suite wants N or all";
+                return false;
             }
-        } else if (word == "warmup") {
-            ls >> spec.warmupInstrs;
-        } else if (word == "instr") {
-            ls >> spec.measureInstrs;
+        } else if (word == "warmup" || word == "instr") {
+            std::string v;
+            ls >> v;
+            std::uint64_t &budget = word == "warmup"
+                                        ? spec.warmupInstrs
+                                        : spec.measureInstrs;
+            if (!parseBounded(v, std::uint64_t{0}, UINT64_MAX, budget)) {
+                error = "spec: " + word +
+                        " wants a non-negative integer";
+                return false;
+            }
         } else if (word == "config") {
             SweepConfig sc;
             if (!parseConfigLine(ls, spec, sc, error))
@@ -197,6 +264,12 @@ finalizeSweepSpec(SweepSpec &spec)
 {
     if (spec.configs.empty())
         spec.configs = defaultFigureConfigs(spec);
+}
+
+bool
+specIsFullSuite(const SweepSpec &spec)
+{
+    return spec.fullSuite || suiteCapIsFull(spec.suite);
 }
 
 std::vector<Program>

@@ -49,6 +49,25 @@ struct SweepSpec
 bool sweepSchemeKind(const std::string &name, RepairKind &kind);
 
 /**
+ * Parse a repair structure size `M-N-P` (the spec's `ports=` modifier
+ * and `lbpsim --ports`): M OBQ or snapshot-queue entries, N OBQ read
+ * ports, P BHT write ports, each a plain decimal. M must be 2..4096, N
+ * and P at least 1, so the repair layer never sees a size it asserts
+ * on. On error fills @p error ("ports wants M-N-P ...") and returns
+ * false, leaving @p out unchanged.
+ */
+bool parseRepairPorts(const std::string &text, RepairPorts &out,
+                      std::string &error);
+
+/**
+ * Parse a limited-pc repair-set size (`limited-m=`, `lbpsim
+ * --limited-m`): a decimal in [1, LimitedPcScheme::maxM]. On error
+ * fills @p error and returns false, leaving @p out unchanged.
+ */
+bool parseLimitedM(const std::string &text, unsigned &out,
+                   std::string &error);
+
+/**
  * Parse spec text ('#' comments, blank lines, directives — see the
  * file comment) into @p spec, overriding its current fields. On
  * error, fills @p error with a one-line description and returns
@@ -67,6 +86,13 @@ std::vector<SweepConfig> defaultFigureConfigs(const SweepSpec &spec);
 
 /** Substitute the default figure set when the spec has no configs. */
 void finalizeSweepSpec(SweepSpec &spec);
+
+/**
+ * True when @p spec selects the whole suite: `suite all`, or a cap
+ * suiteCapIsFull() accepts. buildSpecSuite() builds the same full
+ * suite for each, so they share one suite key.
+ */
+bool specIsFullSuite(const SweepSpec &spec);
 
 /** Build the workload suite @p spec selects (cap or full suite). */
 std::vector<Program> buildSpecSuite(const SweepSpec &spec);

@@ -426,6 +426,15 @@ buildWorkload(const CategoryProfile &profile, unsigned index,
     return builder.build(std::move(segs));
 }
 
+bool
+suiteCapIsFull(unsigned cap)
+{
+    unsigned full = 0;
+    for (const auto &prof : categoryProfiles())
+        full += prof.count;
+    return cap == 0 || cap >= full;
+}
+
 std::vector<Program>
 buildSuite(const SuiteOptions &opts)
 {
@@ -440,7 +449,7 @@ buildSuite(const SuiteOptions &opts)
             slots.push_back({&prof, i});
 
     std::vector<Program> suite;
-    if (opts.maxWorkloads > 0 && opts.maxWorkloads < slots.size()) {
+    if (!suiteCapIsFull(opts.maxWorkloads)) {
         // Proportional per-category allocation with at least one
         // workload from every category, so small categories (HPC has
         // only 8 of 202) stay represented in subsampled runs.

@@ -74,6 +74,12 @@ struct SuiteOptions
 Program buildWorkload(const CategoryProfile &profile, unsigned index,
                       std::uint64_t suite_seed);
 
+/**
+ * True when a SuiteOptions::maxWorkloads of @p cap builds the full
+ * suite: 0 or a cap no smaller than the suite.
+ */
+bool suiteCapIsFull(unsigned cap);
+
 /** Build the full (or capped) suite. */
 std::vector<Program> buildSuite(const SuiteOptions &opts = {});
 

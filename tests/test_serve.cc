@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "sim/suite_cache.hh"
 #include "sim/sweep.hh"
 #include "sim/sweep_spec.hh"
+#include "workload/suite.hh"
 
 using namespace lbp;
 
@@ -568,4 +570,165 @@ TEST(Serve, TraceIdPropagatesEndToEnd)
             std::string("\"name\":\"") + phase + "\"";
         EXPECT_NE(spans.find(needle), std::string::npos) << phase;
     }
+}
+
+TEST(Serve, HostileSubmitsAreRejectedAndDaemonKeepsServing)
+{
+    SuiteCache cache;
+    ServeOptions sopts;
+    sopts.port = 0;
+    sopts.jobs = 2;
+    sopts.cache = &cache;
+    Server server(sopts);
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+
+    ThreadPool pool(1);
+    int rc = -1;
+    pool.submit([&] { rc = server.run(); });
+
+    TcpConn conn = tcpConnect("127.0.0.1", server.port(), err);
+    ASSERT_TRUE(conn.valid()) << err;
+    shakeHands(conn);
+
+    // Each of these once aborted the process or cast out of range.
+    const struct
+    {
+        const char *fields;
+        const char *code;
+    } hostile[] = {
+        {"\"spec\":\"config forward-walk ports=1-1-1\"", "bad_spec"},
+        {"\"spec\":\"config forward-walk ports=32-0-2\"", "bad_spec"},
+        {"\"spec\":\"config forward-walk ports=32-4-0\"", "bad_spec"},
+        {"\"spec\":\"config limited-pc limited-m=0\"", "bad_spec"},
+        {"\"spec\":\"config limited-pc limited-m=17\"", "bad_spec"},
+        {"\"spec\":\"config limited-pc limited-m=4x\"", "bad_spec"},
+        {"\"spec\":\"warmup -1\"", "bad_spec"},
+        {"\"spec\":\"instr abc\"", "bad_spec"},
+        {"\"spec\":\"suite 4294967296\"", "bad_spec"},
+        {"\"suite\":-1", "bad_request"},
+        {"\"suite\":1.5", "bad_request"},
+        {"\"suite\":1e999", "bad_request"},
+        {"\"suite\":4294967296", "bad_request"},
+        {"\"warmup\":-5", "bad_request"},
+        {"\"instr\":1e30", "bad_request"},
+    };
+    std::uint64_t n = 0;
+    for (const auto &h : hostile) {
+        const std::string id = "h" + std::to_string(n++);
+        ASSERT_TRUE(conn.sendAll("{\"type\":\"submit\",\"id\":\"" + id +
+                                 "\"," + h.fields + "}\n"));
+        const JsonValue rej = readFrame(conn);
+        ASSERT_EQ(frameType(rej), "rejected") << h.fields;
+        ASSERT_TRUE(rej.member("id") && rej.member("code"));
+        EXPECT_EQ(rej.member("id")->str(), id);
+        EXPECT_EQ(rej.member("code")->str(), h.code) << h.fields;
+    }
+
+    // The same daemon still serves a valid request.
+    ASSERT_TRUE(conn.sendAll(
+        "{\"type\":\"submit\",\"id\":\"ok\",\"suite\":1,\"warmup\":1000,"
+        "\"instr\":2000,\"spec\":\"config forward-walk ports=32-1-1\"}\n"));
+    const JsonValue acc = readFrame(conn);
+    ASSERT_EQ(frameType(acc), "accepted");
+    const JsonValue res = awaitResult(conn, "ok");
+    ASSERT_EQ(frameType(res), "result");
+
+    conn.closeConn();
+    server.requestDrain();
+    pool.wait();
+    EXPECT_EQ(rc, 0);
+    const ServeStats st = server.stats();
+    EXPECT_EQ(st.requestsRejected, n);
+    EXPECT_EQ(st.requestsCompleted, 1u);
+    EXPECT_EQ(st.suitesBuilt, 1u);  // rejected submits build nothing
+}
+
+TEST(Serve, FullSuiteBuiltOnceAndByteIdenticalToLocal)
+{
+    // Local references: each scheme over the full suite.
+    const std::vector<Program> suite = buildSuite();
+    std::map<std::string, std::string> localCsv;
+    for (const char *scheme : {"baseline", "perfect"}) {
+        SweepSpec spec;
+        spec.warmupInstrs = 500;
+        spec.measureInstrs = 1000;
+        std::string err;
+        ASSERT_TRUE(parseSweepSpecText(std::string("config ") + scheme,
+                                       spec, err))
+            << err;
+        SuiteCache localCache;
+        SweepOptions lopts;
+        lopts.jobs = 2;
+        lopts.cache = &localCache;
+        std::ostringstream csv;
+        writeSweepCsv(csv, runSweep(suite, spec.configs, lopts),
+                      spec.configs);
+        localCsv[scheme] = csv.str();
+    }
+
+    SuiteCache cache;
+    ServeOptions sopts;
+    sopts.port = 0;
+    sopts.jobs = 2;
+    sopts.cache = &cache;
+    Server server(sopts);
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+
+    ThreadPool pool(1);
+    int rc = -1;
+    pool.submit([&] { rc = server.run(); });
+
+    TcpConn conn = tcpConnect("127.0.0.1", server.port(), err);
+    ASSERT_TRUE(conn.valid()) << err;
+    shakeHands(conn);
+
+    // Every spelling of the full suite reads the one resident suite.
+    // The first two are pipelined with different configs: neither
+    // coalesces, and the second is admitted while the first is queued
+    // or running on the same suite.
+    const struct
+    {
+        const char *fields;  ///< submit fields: suite and configs
+        const char *scheme;  ///< the local reference to match
+    } fulls[] = {
+        {"\"suite\":\"all\",\"spec\":\"config baseline\"", "baseline"},
+        {"\"suite\":202,\"spec\":\"config perfect\"", "perfect"},
+        {"\"suite\":4294967295,\"spec\":\"config baseline\"",
+         "baseline"},
+        {"\"spec\":\"suite 0\\nconfig perfect\"", "perfect"},
+    };
+    const auto submit = [&](std::size_t i) {
+        ASSERT_TRUE(conn.sendAll("{\"type\":\"submit\",\"id\":\"f" +
+                                 std::to_string(i) + "\"," +
+                                 fulls[i].fields +
+                                 ",\"warmup\":500,\"instr\":1000}\n"));
+    };
+    const auto check = [&](std::size_t i) {
+        const JsonValue res = awaitResult(conn, "f" + std::to_string(i));
+        ASSERT_EQ(frameType(res), "result") << fulls[i].fields;
+        ASSERT_TRUE(res.member("csv") && res.member("cells"));
+        EXPECT_EQ(res.member("cells")->number(),
+                  static_cast<double>(suite.size()));
+        EXPECT_EQ(res.member("csv")->str(), localCsv[fulls[i].scheme])
+            << fulls[i].fields;
+    };
+    submit(0);
+    submit(1);
+    check(0);
+    check(1);
+    for (std::size_t i = 2; i < 4; ++i) {
+        submit(i);
+        check(i);
+    }
+
+    conn.closeConn();
+    server.requestDrain();
+    pool.wait();
+    EXPECT_EQ(rc, 0);
+    const ServeStats st = server.stats();
+    EXPECT_EQ(st.sweepsExecuted, 4u);
+    EXPECT_EQ(st.requestsDeduped, 0u);
+    EXPECT_EQ(st.suitesBuilt, 1u);
 }

@@ -24,6 +24,7 @@
 #include "sim/result_store.hh"
 #include "sim/suite_cache.hh"
 #include "sim/sweep.hh"
+#include "sim/sweep_spec.hh"
 #include "workload/suite.hh"
 
 using namespace lbp;
@@ -425,6 +426,60 @@ TEST(Sweep, MetricTableNamesUniqueAndBound)
     EXPECT_EQ(value("sweep_wall_s"), 4.0);
     // Derived gauge: simulated Minstr over sweep wall time.
     EXPECT_DOUBLE_EQ(value("sweep_minstr_per_s"), 0.5);
+}
+
+// The spec grammar is the daemon's input boundary: sizes the repair
+// layer asserts on, and numbers with junk, must be parse errors.
+TEST(Sweep, SpecRejectsSizesTheRepairLayerCannotBuild)
+{
+    for (const char *line : {
+             "config forward-walk ports=1-1-1",
+             "config forward-walk ports=0-4-2",
+             "config snapshot ports=4097-4-2",
+             "config forward-walk ports=32-0-2",
+             "config forward-walk ports=32-4-0",
+             "config forward-walk ports=32-4",
+             "config forward-walk ports=32-4-2x",
+             "config forward-walk ports=-1-4-2",
+             "config forward-walk ports=32-4-99999999999",
+             "config limited-pc limited-m=0",
+             "config limited-pc limited-m=17",
+             "config limited-pc limited-m=4x",
+             "config limited-pc limited-m=",
+             "suite abc",
+             "suite -1",
+             "suite 4294967296",
+             "warmup -1",
+             "warmup",
+             "instr abc",
+             "instr 18446744073709551616",
+         }) {
+        SweepSpec spec;
+        std::string err;
+        EXPECT_FALSE(parseSweepSpecText(line, spec, err)) << line;
+        EXPECT_EQ(err.rfind("spec: ", 0), 0u) << line << ": " << err;
+    }
+
+    SweepSpec spec;
+    std::string err;
+    ASSERT_TRUE(parseSweepSpecText(
+        "suite 24\n"
+        "warmup 0\n"
+        "instr 18446744073709551615\n"
+        "config forward-walk ports=2-1-1\n"
+        "config snapshot ports=4096-8-8\n"
+        "config limited-pc limited-m=16\n",
+        spec, err))
+        << err;
+    ASSERT_EQ(spec.configs.size(), 3u);
+    EXPECT_EQ(spec.suite, 24u);
+    EXPECT_EQ(spec.warmupInstrs, 0u);
+    EXPECT_EQ(spec.measureInstrs, 18446744073709551615u);
+    EXPECT_EQ(spec.configs[0].cfg.repair.ports.entries, 2u);
+    EXPECT_EQ(spec.configs[0].cfg.repair.ports.readPorts, 1u);
+    EXPECT_EQ(spec.configs[1].cfg.repair.ports.entries, 4096u);
+    EXPECT_EQ(spec.configs[1].cfg.repair.ports.bhtWritePorts, 8u);
+    EXPECT_EQ(spec.configs[2].cfg.repair.limitedM, 16u);
 }
 
 // Figure-8 port analysis must reconcile exactly against the raw

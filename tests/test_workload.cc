@@ -319,6 +319,14 @@ TEST(Suite, FullSuiteHas202Workloads)
     EXPECT_EQ(profiles.size(), 7u);
 }
 
+TEST(Suite, CapIsFullAtZeroAndFromTheSuiteSize)
+{
+    for (unsigned cap : {0u, 202u, 203u, 4294967295u})
+        EXPECT_TRUE(suiteCapIsFull(cap)) << cap;
+    for (unsigned cap : {1u, 24u, 201u})
+        EXPECT_FALSE(suiteCapIsFull(cap)) << cap;
+}
+
 TEST(Suite, SubsampleKeepsEveryCategory)
 {
     SuiteOptions opts;

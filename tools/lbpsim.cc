@@ -30,6 +30,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/runner.hh"
+#include "sim/sweep_spec.hh"
 #include "workload/suite.hh"
 
 using namespace lbp;
@@ -100,11 +101,12 @@ constexpr OptSpec kOptions[] = {
      "backward-walk | snapshot | forward-walk |\n"
      "limited-pc | multi-stage | future-file"},
     {Opt::Ports, "--ports", nullptr, "<M-N-P>",
-     "OBQ/SQ entries, read ports, BHT write ports"},
+     "OBQ/SQ entries (2..4096), read ports, BHT write\n"
+     "ports (each at least 1)"},
     {Opt::Coalesce, "--coalesce", nullptr, nullptr,
      "enable OBQ entry merging"},
     {Opt::LimitedM, "--limited-m", nullptr, "<M>",
-     "PCs repaired by limited-pc"},
+     "PCs repaired by limited-pc (1..16)"},
     {Opt::Loop, "--loop", nullptr, "<64|128|256>",
      "CBPw-Loop BHT/PT entries"},
     {Opt::Tage, "--tage", nullptr, "<7|9|57>",
@@ -242,20 +244,24 @@ parseOptions(int argc, char **argv, Options &opt)
             opt.scheme = v;
             break;
           case Opt::Ports: {
-            unsigned m = 0, n = 0, p = 0;
-            if (std::sscanf(v, "%u-%u-%u", &m, &n, &p) != 3) {
-                std::fprintf(stderr, "--ports wants M-N-P\n");
+            std::string err;
+            if (!parseRepairPorts(v, opt.ports, err)) {
+                std::fprintf(stderr, "--%s\n", err.c_str());
                 return false;
             }
-            opt.ports = {m, n, p};
             break;
           }
           case Opt::Coalesce:
             opt.coalesce = true;
             break;
-          case Opt::LimitedM:
-            opt.limitedM = static_cast<unsigned>(std::atoi(v));
+          case Opt::LimitedM: {
+            std::string err;
+            if (!parseLimitedM(v, opt.limitedM, err)) {
+                std::fprintf(stderr, "--%s\n", err.c_str());
+                return false;
+            }
             break;
+          }
           case Opt::Loop:
             opt.loopEntries = static_cast<unsigned>(std::atoi(v));
             break;
