@@ -1,5 +1,6 @@
 #include "bpu/loop_predictor.hh"
 
+#include "bpu/bht_snapshot.hh"
 #include "common/logging.hh"
 
 namespace lbp {
@@ -322,36 +323,16 @@ LoopPredictor::testClearRepairBit(Addr pc)
     return prev;
 }
 
-std::vector<std::uint64_t>
-LoopPredictor::snapshotBht() const
+void
+LoopPredictor::snapshotBht(std::vector<std::uint64_t> &out) const
 {
-    // Two words per way: [flags|state|tag], [lruStamp].
-    std::vector<std::uint64_t> snap;
-    snap.reserve(bht_.raw().size() * 2);
-    for (const auto &way : bht_.raw()) {
-        std::uint64_t w = (way.valid ? 1u : 0u) |
-                          (way.data.repairBit ? 2u : 0u) |
-                          (static_cast<std::uint64_t>(way.data.state) << 2) |
-                          (way.tag << 18);
-        snap.push_back(w);
-        snap.push_back(way.lruStamp);
-    }
-    return snap;
+    encodeBhtSnapshot(bht_, out);
 }
 
 void
 LoopPredictor::restoreBht(const std::vector<std::uint64_t> &snap)
 {
-    auto &ways = bht_.raw();
-    lbp_assert(snap.size() == ways.size() * 2);
-    for (std::size_t i = 0; i < ways.size(); ++i) {
-        const std::uint64_t w = snap[i * 2];
-        ways[i].valid = (w & 1) != 0;
-        ways[i].data.repairBit = (w & 2) != 0;
-        ways[i].data.state = static_cast<LocalState>((w >> 2) & 0xffff);
-        ways[i].tag = w >> 18;
-        ways[i].lruStamp = static_cast<std::uint32_t>(snap[i * 2 + 1]);
-    }
+    decodeBhtSnapshot(bht_, snap);
 }
 
 double

@@ -105,8 +105,19 @@ class LocalPredictor
      */
     virtual bool testClearRepairBit(Addr pc) = 0;
 
-    /** Whole-BHT snapshot (for the snapshot-queue scheme & oracle). */
-    virtual std::vector<std::uint64_t> snapshotBht() const = 0;
+    /** Words a whole-BHT snapshot occupies (two per BHT way). */
+    std::size_t
+    snapshotWords() const
+    {
+        return 2 * static_cast<std::size_t>(bhtEntries());
+    }
+
+    /**
+     * Whole-BHT snapshot (for the snapshot-queue scheme & oracle),
+     * written into caller-owned @p out of exactly snapshotWords()
+     * words, so a reused buffer makes the snapshot allocation-free.
+     */
+    virtual void snapshotBht(std::vector<std::uint64_t> &out) const = 0;
 
     /** Restore a snapshot taken from an identically-configured table. */
     virtual void restoreBht(const std::vector<std::uint64_t> &snap) = 0;

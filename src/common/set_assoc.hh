@@ -201,23 +201,26 @@ class FlatTagLru
     bool
     lookup(std::uint64_t key, bool touch = true)
     {
-        const std::size_t base =
-            static_cast<std::size_t>(key & (numSets_ - 1)) * numWays_;
-        const std::uint64_t want = packedTag(key);
-        for (unsigned w = 0; w < numWays_; ++w) {
-            if (tags_[base + w] == want) {
-                if (touch)
-                    lru_[base + w] = ++stamp_;
-                return true;
-            }
+        // Slot memo: the slot a key was last found or inserted in,
+        // direct-mapped on the key. A memo entry whose slot still
+        // holds its key is exactly what the set scan would find (keys
+        // are unique within a set), so it replaces the scan.
+        SlotMemo &m = memo_[key & (memoSize - 1)];
+        if (m.key != key || tags_[m.slot] != packedTag(key)) {
+            const std::size_t slot = findSlot(key);
+            if (slot == npos)
+                return false;
+            m = {key, slot};
         }
-        return false;
+        if (touch)
+            lru_[m.slot] = ++stamp_;
+        return true;
     }
 
     bool
     lookup(std::uint64_t key) const
     {
-        return const_cast<FlatTagLru *>(this)->lookup(key, false);
+        return findSlot(key) != npos;
     }
 
     /** Insert a key, evicting the set's LRU way if needed. */
@@ -237,6 +240,7 @@ class FlatTagLru
         }
         tags_[victim] = packedTag(key);
         lru_[victim] = ++stamp_;
+        memo_[key & (memoSize - 1)] = {key, victim};
     }
 
   private:
@@ -254,12 +258,35 @@ class FlatTagLru
         return tag;
     }
 
+    static constexpr std::size_t npos = ~std::size_t{0};
+
+    /** Slot holding @p key, or npos; no LRU update. */
+    std::size_t
+    findSlot(std::uint64_t key) const
+    {
+        const std::size_t base =
+            static_cast<std::size_t>(key & (numSets_ - 1)) * numWays_;
+        const std::uint64_t want = packedTag(key);
+        for (unsigned w = 0; w < numWays_; ++w)
+            if (tags_[base + w] == want)
+                return base + w;
+        return npos;
+    }
+
+    struct SlotMemo
+    {
+        std::uint64_t key = ~std::uint64_t{0};  ///< matches no real key
+        std::size_t slot = 0;
+    };
+    static constexpr std::size_t memoSize = 16;
+
     unsigned numSets_;
     unsigned numWays_;
     unsigned setBits_;
     std::uint32_t stamp_;
     std::vector<std::uint64_t> tags_;
     std::vector<std::uint32_t> lru_;
+    SlotMemo memo_[memoSize];
 };
 
 } // namespace lbp

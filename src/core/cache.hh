@@ -61,7 +61,6 @@ class Cache
             ++stats_.misses;
             latency += next_ ? next_->access(addr) : memLatency_;
             tags_.insert(key);
-            ++insertCount_;
         }
         if (cfg_.nextLinePrefetch) {
             // Streamer-style prefetch: keep the sequential next line
@@ -78,21 +77,10 @@ class Cache
     {
         const std::uint64_t key = lineKey(addr);
         // A prefetch that hits is a pure no-op (the untouched probe
-        // leaves LRU alone), so a line known resident since the last
-        // insert into this cache can skip the tag scan entirely.
-        // Strided streams hammer the same next-line key for a whole
-        // line's worth of accesses.
-        if (key == lastPfKey_ && insertCount_ == lastPfGen_)
+        // leaves LRU alone).
+        if (tags_.lookup(key, false))
             return;
-        if (tags_.lookup(key, false)) {
-            lastPfKey_ = key;
-            lastPfGen_ = insertCount_;
-            return;
-        }
         tags_.insert(key);
-        ++insertCount_;
-        lastPfKey_ = key;
-        lastPfGen_ = insertCount_;
         ++stats_.prefetchFills;
         if (next_)
             next_->prefetchFill(addr);
@@ -118,11 +106,6 @@ class Cache
     unsigned lineShift_;
     FlatTagLru tags_;
     Stats stats_;
-    /** Presence memo for the prefetch probe: valid while no insert has
-     *  happened since it was taken (hits have no side effects). */
-    std::uint64_t lastPfKey_ = ~std::uint64_t{0};
-    std::uint64_t lastPfGen_ = ~std::uint64_t{0};
-    std::uint64_t insertCount_ = 0;
 };
 
 /** Table 2's three-level hierarchy plus DRAM. */

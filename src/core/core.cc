@@ -638,7 +638,6 @@ OooCore::scheduleInst(DynInst &di)
     }
 
     di.doneCycle = t + lat;
-    di.completed = true;
     if (tracer_)
         tracer_->stage(TraceStage::Issue, t, di.doneCycle, di.seq,
                        di.pc, false);
@@ -670,38 +669,44 @@ OooCore::fetchStage()
     unsigned n = 0;
     while (n < cfg_.core.fetchWidth &&
            fetchQueue_.size() < cfg_.core.fetchQueueEntries) {
-        DynInstDesc desc;
+        // The descriptor is read in place, field by field: copying the
+        // executor's freshly written descriptor as a whole struct
+        // stalls on store forwarding.
+        const DynInstDesc *desc = nullptr;
+        DynInstDesc wrong_desc;
         std::uint64_t dyn_idx = 0;
         CfgCursor cursor_before{};
         bool from_executor = false;
 
         if (!wrongPath_) {
             if (!replay_.empty()) {
+                // The popped slot stays intact until the next pushBack,
+                // which only the defer stage performs.
                 const Replayed &r = replay_.front();
-                desc = r.desc;
+                desc = &r.desc;
                 dyn_idx = r.dynIdx;
                 cursor_before = r.cursor;
                 replay_.popFront();
             } else {
                 cursor_before = exec_.cursor();
-                desc = exec_.next();
+                desc = &exec_.next();
                 dyn_idx = exec_.instCount() - 1;
                 from_executor = true;
             }
         } else {
             cursor_before = nav_;
             const StaticInst &si = cfgInst(prog_, nav_);
-            desc = DynInstDesc{};
-            desc.pc = si.pc;
-            desc.cls = si.cls;
-            desc.dep1 = si.dep1;
-            desc.dep2 = si.dep2;
+            wrong_desc.pc = si.pc;
+            wrong_desc.cls = si.cls;
+            wrong_desc.dep1 = si.dep1;
+            wrong_desc.dep2 = si.dep2;
+            desc = &wrong_desc;
         }
 
-        icacheCheck(desc.pc);
+        icacheCheck(desc->pc);
 
         DynInst &di =
-            makeInst(desc, dyn_idx, cursor_before, wrongPath_);
+            makeInst(*desc, dyn_idx, cursor_before, wrongPath_);
         if (tracer_)
             tracer_->stage(TraceStage::Fetch, now_, now_, di.seq,
                            di.pc, di.wrongPath);
@@ -805,7 +810,9 @@ OooCore::makeInst(const DynInstDesc &desc, std::uint64_t dyn_idx,
     // Backstop: every squash/retire path frees its pooled record, but a
     // leaked one must not survive slot reuse.
     freeBrRec(di);
-    di = DynInst{};
+    // Field by field rather than `di = DynInst{}`: every field is
+    // written here, and the 48-byte BranchRec is reset only for the
+    // conditional branches that read it.
     di.seq = seq;
     di.pc = desc.pc;
     di.cls = desc.cls;
@@ -813,10 +820,14 @@ OooCore::makeInst(const DynInstDesc &desc, std::uint64_t dyn_idx,
     di.dep2 = desc.dep2;
     di.wrongPath = wrong_path;
     di.actualDir = desc.taken;
+    di.mispredicted = false;
     di.memAddr = desc.memAddr;
     di.dynIdx = dyn_idx;
     di.fetchCursor = cursor;
     di.fetchCycle = now_;
+    di.doneCycle = 0;
+    if (desc.cls == InstClass::CondBranch)
+        di.br = BranchRec{};
     if (!wrong_path)
         trueSeqRing_[dyn_idx & ((1u << trueRingLog) - 1)] = seq;
     ++stats_.fetchedInstrs;

@@ -74,12 +74,10 @@ struct DynInst
     Cycle fetchCycle = 0;
     Cycle doneCycle = 0;
 
-    // Back-end bookkeeping.
-    std::uint8_t depsOutstanding = 0;
-    bool issued = false;
-    bool completed = false;
-
-    BranchRec br;  ///< valid only when cls == CondBranch
+    /** Valid only when cls == CondBranch: the core resets it for
+     *  conditional branches alone, so other slots keep stale contents
+     *  (with tageRec always invalid). */
+    BranchRec br;
 
     bool isCond() const { return cls == InstClass::CondBranch; }
     bool isMem() const

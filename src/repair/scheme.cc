@@ -40,7 +40,7 @@ RepairScheme::logSpecUpdate(InstSeq seq, Addr pc)
 }
 
 const std::vector<Addr> &
-RepairScheme::pollutedScratchSince(InstSeq seq) const
+RepairScheme::pollutedListSince(InstSeq seq) const
 {
     // Walk the update log backwards collecting distinct PCs updated at
     // or after the mispredicting branch. Seqs are monotonic in fetch
@@ -63,16 +63,10 @@ RepairScheme::pollutedScratchSince(InstSeq seq) const
     return distinct;
 }
 
-std::vector<Addr>
-RepairScheme::pollutedListSince(InstSeq seq) const
-{
-    return pollutedScratchSince(seq);
-}
-
 unsigned
 RepairScheme::pollutedPcsSince(InstSeq seq) const
 {
-    return static_cast<unsigned>(pollutedScratchSince(seq).size());
+    return static_cast<unsigned>(pollutedListSince(seq).size());
 }
 
 RepairScheme::PredictOutcome

@@ -35,6 +35,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -192,15 +194,15 @@ class RepairScheme
 
     /**
      * PCs the scheme's most recent atMispredict() claimed to repair,
-     * or nullptr when the scheme repairs every polluted PC (the walks,
+     * or nullopt when the scheme repairs every polluted PC (the walks,
      * snapshot, multi-stage). LimitedPc declares its M-entry payload
      * here so the LBP_AUDIT checker can count pollution outside the
      * set as a declared gap instead of asserting on it (section 3.3's
      * divergence-by-design).
      */
-    virtual const std::vector<Addr> *lastRepairSet() const
+    virtual std::optional<std::span<const Addr>> lastRepairSet() const
     {
-        return nullptr;
+        return std::nullopt;
     }
 
     /**
@@ -266,8 +268,11 @@ class RepairScheme
     /** Distinct PCs speculatively updated after @p seq (Figure 8). */
     unsigned pollutedPcsSince(InstSeq seq) const;
 
-    /** The same set, as a list (LimitedPc invalidation ablation). */
-    std::vector<Addr> pollutedListSince(InstSeq seq) const;
+    /**
+     * The same set, as a list (LimitedPc invalidation ablation), in a
+     * member scratch buffer valid until the next call.
+     */
+    const std::vector<Addr> &pollutedListSince(InstSeq seq) const;
 
     std::unique_ptr<LocalPredictor> lp_;
     RepairConfig cfg_;
@@ -275,8 +280,6 @@ class RepairScheme
     SignedSatCounter withLoop_;
 
   private:
-    const std::vector<Addr> &pollutedScratchSince(InstSeq seq) const;
-
     /** Ring of recent speculative updates (seq, pc). */
     std::vector<std::pair<InstSeq, Addr>> updateLog_;
     std::size_t updateLogPos_ = 0;

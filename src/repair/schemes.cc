@@ -42,6 +42,7 @@ PerfectRepairScheme::PerfectRepairScheme(
 {
     lbp_assert(oracle_ != nullptr);
     lbp_assert(oracle_->bhtEntries() == lp_->bhtEntries());
+    oracleSnap_.resize(oracle_->snapshotWords());
 }
 
 void
@@ -57,7 +58,8 @@ PerfectRepairScheme::atMispredict(DynInst &di, Cycle now)
     RepairScheme::atMispredict(di, now);
     // Instant, unbounded restore: the shadow table already reflects the
     // architectural path up to and including this branch.
-    lp_->restoreBht(oracle_->snapshotBht());
+    oracle_->snapshotBht(oracleSnap_);
+    lp_->restoreBht(oracleSnap_);
     stats_.writesPerRepair.sample(lp_->bhtEntries());
     stats_.repairCycles.sample(0);
 }
@@ -189,8 +191,16 @@ BackwardWalkScheme::atMispredict(DynInst &di, Cycle now)
 
 ForwardWalkScheme::ForwardWalkScheme(std::unique_ptr<LocalPredictor> lp,
                                      const RepairConfig &cfg)
-    : WalkSchemeBase(std::move(lp), cfg, cfg.coalesce)
+    : WalkSchemeBase(std::move(lp), cfg, cfg.coalesce),
+      pendingRepair_(lp_->bhtEntries())
 {
+}
+
+void
+ForwardWalkScheme::notePending(Addr pc, Cycle ready)
+{
+    lbp_assert(pendingCount_ < pendingRepair_.size());
+    pendingRepair_[pendingCount_++] = {pc, ready};
 }
 
 bool
@@ -199,18 +209,19 @@ ForwardWalkScheme::bhtUsable(Addr pc, Cycle now) const
     // Entries outside the active walk are usable immediately; walked
     // entries become usable the cycle their repair write lands.
     if (now >= busyUntil_) {
-        if (!pendingRepair_.empty())
-            pendingRepair_.clear();
+        pendingCount_ = 0;
         return true;
     }
-    const auto it = pendingRepair_.find(pc);
-    if (it == pendingRepair_.end())
-        return true;
-    if (now >= it->second) {
-        pendingRepair_.erase(it);
+    for (unsigned i = 0; i < pendingCount_; ++i) {
+        if (pendingRepair_[i].first != pc)
+            continue;
+        if (now < pendingRepair_[i].second)
+            return false;
+        // Landed: drop it (PCs are unique, so order is immaterial).
+        pendingRepair_[i] = pendingRepair_[--pendingCount_];
         return true;
     }
-    return false;
+    return true;
 }
 
 void
@@ -223,7 +234,7 @@ ForwardWalkScheme::atMispredict(DynInst &di, Cycle now)
     }
 
     lp_->setAllRepairBits();
-    pendingRepair_.clear();
+    pendingCount_ = 0;
 
     const unsigned tput = repairThroughput();
     const Cycle start = std::max<Cycle>(now + 1, busyUntil_);
@@ -240,7 +251,7 @@ ForwardWalkScheme::atMispredict(DynInst &di, Cycle now)
                                        di.br.local.preState,
                                        di.actualDir));
             ++writes;
-            pendingRepair_[di.pc] = start + ceilDiv(writes, tput);
+            notePending(di.pc, start + ceilDiv(writes, tput));
         }
         begin = di.br.obqId + 1;
     }
@@ -257,7 +268,7 @@ ForwardWalkScheme::atMispredict(DynInst &di, Cycle now)
             st = lp_->advanceState(st, di.actualDir);
         lp_->writeState(e.pc, st);
         ++writes;
-        pendingRepair_[e.pc] = start + ceilDiv(writes, tput);
+        notePending(e.pc, start + ceilDiv(writes, tput));
     }
 
     busyUntil_ = start + ceilDiv(writes, tput);
@@ -276,6 +287,8 @@ SnapshotScheme::SnapshotScheme(std::unique_ptr<LocalPredictor> lp,
                                const RepairConfig &cfg)
     : RepairScheme(std::move(lp), cfg), ring_(cfg.ports.entries)
 {
+    for (Snap &s : ring_)
+        s.data.resize(lp_->snapshotWords());
 }
 
 bool
@@ -295,7 +308,7 @@ SnapshotScheme::checkpoint(DynInst &di, Cycle)
     }
     Snap &s = ring_[tail_ % ring_.size()];
     s.seq = di.seq;
-    s.data = lp_->snapshotBht();
+    lp_->snapshotBht(s.data);
     di.br.snapId = tail_++;
     di.br.checkpointed = true;
 }
@@ -364,7 +377,6 @@ LimitedPcScheme::LimitedPcScheme(std::unique_ptr<LocalPredictor> lp,
       payloadRing_(1u << payloadRingLog)
 {
     lbp_assert(cfg.limitedM >= 1 && cfg.limitedM <= maxM);
-    lastRepairSet_.reserve(maxM);
 }
 
 bool
@@ -379,14 +391,19 @@ LimitedPcScheme::bhtUsable(Addr, Cycle) const
 }
 
 void
-LimitedPcScheme::noteRecentUpdate(Addr pc)
+LimitedPcScheme::RecentPcs::touch(Addr pc)
 {
-    auto it = std::find(recentUpdates_.begin(), recentUpdates_.end(), pc);
-    if (it != recentUpdates_.end())
-        recentUpdates_.erase(it);
-    recentUpdates_.push_back(pc);
-    if (recentUpdates_.size() > 2 * maxM)
-        recentUpdates_.erase(recentUpdates_.begin());
+    Addr *const begin = pcs_.data();
+    Addr *const end = begin + size_;
+    Addr *const it = std::find(begin, end, pc);
+    if (it != end) {
+        std::copy(it + 1, end, it);
+        --size_;
+    } else if (size_ == pcs_.size()) {
+        std::copy(begin + 1, end, begin);  // the oldest drops out
+        --size_;
+    }
+    pcs_[size_++] = pc;
 }
 
 void
@@ -436,14 +453,14 @@ LimitedPcScheme::checkpoint(DynInst &di, Cycle)
     di.br.limitedSlot = di.seq;
     di.br.checkpointed = true;
 
-    noteRecentUpdate(di.pc);
+    recentUpdates_.touch(di.pc);
 }
 
 void
 LimitedPcScheme::atMispredict(DynInst &di, Cycle now)
 {
     RepairScheme::atMispredict(di, now);
-    lastRepairSet_.clear();
+    lastRepairCount_ = 0;
     const Payload &p =
         payloadRing_[di.seq & (payloadRing_.size() - 1)];
     if (!di.br.checkpointed || p.seq != di.seq) {
@@ -457,7 +474,7 @@ LimitedPcScheme::atMispredict(DynInst &di, Cycle now)
             lp_->writeState(pc, lp_->advanceState(st, di.actualDir));
         else
             lp_->writeState(pc, st);
-        lastRepairSet_.push_back(pc);
+        lastRepairSet_[lastRepairCount_++] = pc;
     }
 
     if (cfg_.limitedInvalidate) {
@@ -491,15 +508,8 @@ void
 LimitedPcScheme::atRetire(DynInst &di)
 {
     RepairScheme::atRetire(di);
-    if (di.br.usedLoop && di.br.loopDir == di.actualDir) {
-        auto it =
-            std::find(overrideLru_.begin(), overrideLru_.end(), di.pc);
-        if (it != overrideLru_.end())
-            overrideLru_.erase(it);
-        overrideLru_.push_back(di.pc);
-        if (overrideLru_.size() > 2 * maxM)
-            overrideLru_.erase(overrideLru_.begin());
-    }
+    if (di.br.usedLoop && di.br.loopDir == di.actualDir)
+        overrideLru_.touch(di.pc);
 }
 
 double
@@ -619,7 +629,8 @@ MultiStageScheme::MultiStageScheme(std::unique_ptr<LocalPredictor> lp,
                                    std::unique_ptr<LocalPredictor> bht_tage,
                                    bool shared_pt, const RepairConfig &cfg)
     : RepairScheme(std::move(lp), cfg), bhtTage_(std::move(bht_tage)),
-      sharedPt_(shared_pt), obq_(cfg.ports.entries, cfg.coalesce)
+      sharedPt_(shared_pt), obq_(cfg.ports.entries, cfg.coalesce),
+      repaired_(lp_->bhtEntries())
 {
     lbp_assert(bhtTage_ != nullptr);
 }
@@ -727,7 +738,7 @@ MultiStageScheme::atMispredict(DynInst &di, Cycle now)
         std::max(1u, std::min(cfg_.ports.readPorts, 4u));
     unsigned walked = 0;
     unsigned writes = 0;
-    std::vector<Addr> repaired;
+    unsigned nrepaired = 0;
 
     std::uint64_t begin = std::max(di.br.obqId, obq_.head());
     if (di.br.checkpointed && di.br.mergedEntry) {
@@ -736,7 +747,7 @@ MultiStageScheme::atMispredict(DynInst &di, Cycle now)
                             lp_->advanceState(di.br.local.preState,
                                               di.actualDir));
             ++writes;
-            repaired.push_back(di.pc);
+            repaired_[nrepaired++] = di.pc;
         }
         begin = di.br.obqId + 1;
     }
@@ -750,7 +761,8 @@ MultiStageScheme::atMispredict(DynInst &di, Cycle now)
             st = lp_->advanceState(st, di.actualDir);
         lp_->writeState(e.pc, st);
         ++writes;
-        repaired.push_back(e.pc);
+        lbp_assert(nrepaired < repaired_.size());
+        repaired_[nrepaired++] = e.pc;
     }
 
     const Cycle start = std::max<Cycle>(now + 1, deferBusyUntil_);
@@ -758,7 +770,8 @@ MultiStageScheme::atMispredict(DynInst &di, Cycle now)
 
     // Phase 2: copy the repaired PCs into BHT-TAGE through its own
     // prediction ports (4/cycle); it declines predictions meanwhile.
-    for (Addr pc : repaired) {
+    for (unsigned i = 0; i < nrepaired; ++i) {
+        const Addr pc = repaired_[i];
         bool present = false;
         const LocalState st = lp_->readState(pc, &present);
         if (present)
@@ -766,9 +779,9 @@ MultiStageScheme::atMispredict(DynInst &di, Cycle now)
     }
     tageBusyUntil_ =
         deferBusyUntil_ +
-        ceilDiv(static_cast<unsigned>(repaired.size()), 4u);
+        ceilDiv(nrepaired, 4u);
 
-    stats_.repairWrites += writes + repaired.size();
+    stats_.repairWrites += writes + nrepaired;
     stats_.walkLength.sample(walked);
     stats_.writesPerRepair.sample(writes);
     stats_.repairCycles.sample(tageBusyUntil_ - start);

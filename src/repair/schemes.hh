@@ -9,7 +9,10 @@
 #define LBP_REPAIR_SCHEMES_HH
 
 #include <array>
-#include <unordered_map>
+#include <iterator>
+#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "repair/scheme.hh"
@@ -61,6 +64,8 @@ class PerfectRepairScheme : public RepairScheme
 
   private:
     std::unique_ptr<LocalPredictor> oracle_;
+    /** The oracle's snapshot, reused by every restore. */
+    std::vector<std::uint64_t> oracleSnap_;
 };
 
 /**
@@ -129,8 +134,17 @@ class ForwardWalkScheme : public WalkSchemeBase
     bool bhtUsable(Addr pc, Cycle now) const override;
 
   private:
-    /** PCs awaiting their repair write during an active walk. */
-    mutable std::unordered_map<Addr, Cycle> pendingRepair_;
+    /** Record that @p pc's repair write lands at cycle @p ready. */
+    void notePending(Addr pc, Cycle ready);
+
+    /**
+     * PCs awaiting their repair write during an active walk, with the
+     * cycle it lands; the first pendingCount_ slots are live. The
+     * repair bits allow one write per BHT entry, so bhtEntries() slots
+     * always suffice and a walk never allocates.
+     */
+    mutable std::vector<std::pair<Addr, Cycle>> pendingRepair_;
+    mutable unsigned pendingCount_ = 0;
 };
 
 /**
@@ -195,9 +209,10 @@ class LimitedPcScheme : public RepairScheme
     const char *name() const override { return "limited-pc"; }
 
     /** The M PCs the last repair actually wrote (declared coverage). */
-    const std::vector<Addr> *lastRepairSet() const override
+    std::optional<std::span<const Addr>> lastRepairSet() const override
     {
-        return &lastRepairSet_;
+        return std::span<const Addr>(lastRepairSet_.data(),
+                                     lastRepairCount_);
     }
 
   protected:
@@ -214,12 +229,34 @@ class LimitedPcScheme : public RepairScheme
         InstSeq seq = invalidSeq;
     };
 
-    void noteRecentUpdate(Addr pc);
+    /**
+     * Distinct PCs, most recent last, keeping the newest 2 * maxM: a
+     * touched PC moves to the back and the oldest drops out. Fixed
+     * storage, so the per-branch hooks that maintain it never allocate.
+     */
+    class RecentPcs
+    {
+      public:
+        void touch(Addr pc);
+        auto rbegin() const
+        {
+            return std::make_reverse_iterator(pcs_.data() + size_);
+        }
+        auto rend() const
+        {
+            return std::make_reverse_iterator(pcs_.data());
+        }
+
+      private:
+        std::array<Addr, 2 * maxM> pcs_{};
+        unsigned size_ = 0;
+    };
 
     std::vector<Payload> payloadRing_;
-    std::vector<Addr> overrideLru_;   ///< recent correct overriders
-    std::vector<Addr> recentUpdates_; ///< recent BHT-updated PCs
-    std::vector<Addr> lastRepairSet_; ///< PCs written by the last repair
+    RecentPcs overrideLru_;    ///< recent correct overriders
+    RecentPcs recentUpdates_;  ///< recent BHT-updated PCs
+    std::array<Addr, maxM> lastRepairSet_{};  ///< PCs the last repair wrote
+    unsigned lastRepairCount_ = 0;
     Cycle busyUntil_ = 0;
 };
 
@@ -312,6 +349,10 @@ class MultiStageScheme : public RepairScheme
     Obq obq_;
     Cycle deferBusyUntil_ = 0;
     Cycle tageBusyUntil_ = 0;
+    /** PCs a repair walk wrote, for the BHT-TAGE copy phase. The repair
+     *  bits allow one write per BHT-Defer entry, so bhtEntries() slots
+     *  always suffice. */
+    std::vector<Addr> repaired_;
 };
 
 } // namespace lbp

@@ -199,11 +199,6 @@ runSweep(const std::vector<Program> &suite,
         }
 
         done += nw;
-        SuiteTelemetry t;
-        t.label = configLabel(configs[c].cfg);
-        t.workloads = nw;
-        t.memoHit = true;
-        TelemetryRegistry::process().record(std::move(t));
         for (std::size_t w = 0; w < nw; ++w) {
             SweepCell &cell = out.cells[c * nw + w];
             cell.outcome = outcome;
@@ -289,14 +284,15 @@ runSweep(const std::vector<Program> &suite,
             wall += cell.wallSeconds;
             instrs += cell.simInstrs;
         }
-        SuiteTelemetry t;
+        // The result carries its own telemetry; the process-wide
+        // registry is left to suite runs, so a resident daemon's
+        // memory does not grow with every request.
+        SuiteTelemetry &t = res.telemetry;
         t.label = configLabel(configs[c].cfg);
         t.workloads = nw;
         t.jobs = out.jobs;
         t.wallSeconds = wall;
         t.simInstrs = instrs;
-        res.telemetry = t;
-        TelemetryRegistry::process().record(std::move(t));
 
         if (opts.store)
             opts.store->save(out.suiteKey, out.configKeys[c], res);

@@ -1,6 +1,5 @@
 #include "sim/sweep_spec.hh"
 
-#include <charconv>
 #include <climits>
 #include <cstdint>
 #include <sstream>
@@ -46,20 +45,6 @@ namespace {
  * exhausting memory. The paper's largest structure has 64 entries.
  */
 constexpr unsigned maxRepairEntries = 4096;
-
-/** @p text as a decimal in [@p lo, @p hi]: no sign, blank or junk. */
-template <typename T>
-bool
-parseBounded(const std::string &text, T lo, T hi, T &out)
-{
-    T v = 0;
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-    if (ec != std::errc() || ptr != end || v < lo || v > hi)
-        return false;
-    out = v;
-    return true;
-}
 
 /**
  * Parse one `config` line: scheme name plus optional ports=M-N-P,

@@ -16,6 +16,7 @@
 #ifndef LBP_SIM_SWEEP_SPEC_HH
 #define LBP_SIM_SWEEP_SPEC_HH
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,6 +41,25 @@ struct SweepSpec
     std::uint64_t measureInstrs = 60000;  ///< measured budget per cell
     std::vector<SweepConfig> configs;     ///< empty = caller's default
 };
+
+/**
+ * Parse @p text as a plain decimal in [@p lo, @p hi]: no sign, blank
+ * or trailing junk, no overflow. The one integer parser behind the spec
+ * grammar and every integer option of lbpsim, lbpsweep and lbpserved.
+ * On failure returns false and leaves @p out unchanged.
+ */
+template <typename T>
+bool
+parseBounded(const std::string &text, T lo, T hi, T &out)
+{
+    T v = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || v < lo || v > hi)
+        return false;
+    out = v;
+    return true;
+}
 
 /**
  * Scheme-name -> RepairKind mapping ("perfect", "forward-walk", ...).

@@ -92,7 +92,7 @@ SpecStateAuditor::onPredict(const DynInst &di)
 void
 SpecStateAuditor::onRecovery(const DynInst &cause,
                              const LocalPredictor &live, bool covered,
-                             const std::vector<Addr> *repairSet)
+                             std::optional<std::span<const Addr>> repairSet)
 {
     // The wrong-path window: the mispredicting branch's own (wrong-
     // direction) update plus everything fetched after it.

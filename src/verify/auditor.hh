@@ -37,6 +37,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -105,14 +107,15 @@ class SpecStateAuditor
      * scheme's atMispredict and atSquash, before the pipeline reuses
      * the BHT. @p covered is false when the scheme itself declared the
      * recovery unrepairable (e.g. OBQ overflow). @p repairSet, when
-     * non-null, is the scheme's declared coverage (LimitedPc's M-PC
+     * present, is the scheme's declared coverage (LimitedPc's M-PC
      * payload): polluted PCs outside it are a designed gap — counted
      * as skipped and desynced, not asserted. The mispredicting PC
      * itself is always checked; every scheme repairs at least that.
      */
     void onRecovery(const DynInst &cause, const LocalPredictor &live,
                     bool covered,
-                    const std::vector<Addr> *repairSet = nullptr);
+                    std::optional<std::span<const Addr>> repairSet =
+                        std::nullopt);
 
     /** Cross-check and advance the golden chain at a conditional
      *  branch's retirement. Call before the scheme's atRetire. */

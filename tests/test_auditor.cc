@@ -302,7 +302,7 @@ TEST(Auditor, LimitedPcOutOfSetIsCountedNotAsserted)
     const std::uint64_t skipped_before = d.astats().skipped;
     d.mispredict(cause);
 
-    ASSERT_NE(d.scheme().lastRepairSet(), nullptr);
+    ASSERT_TRUE(d.scheme().lastRepairSet().has_value());
     EXPECT_EQ(d.scheme().lastRepairSet()->size(), 1u);
     EXPECT_GT(d.astats().skipped, skipped_before)
         << "out-of-set pollution must be counted as a declared gap";

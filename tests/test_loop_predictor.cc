@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "bpu/local_two_level.hh"
 #include "bpu/loop_predictor.hh"
 
@@ -259,7 +262,8 @@ TEST(LoopPredictor, SnapshotRestoreExact)
     LoopPredictor lp;
     for (unsigned i = 0; i < 50; ++i)
         lp.specUpdate(0x400000 + 8 * (i % 10), i % 7 != 0);
-    const auto snap = lp.snapshotBht();
+    std::vector<std::uint64_t> snap(lp.snapshotWords());
+    lp.snapshotBht(snap);
 
     for (unsigned i = 0; i < 40; ++i)
         lp.specUpdate(0x500000 + 8 * i, true);  // clobber
@@ -271,7 +275,57 @@ TEST(LoopPredictor, SnapshotRestoreExact)
         lp.readState(pc, &present);
         EXPECT_TRUE(present) << "entry " << i << " must be restored";
     }
-    EXPECT_EQ(lp.snapshotBht(), snap);
+    std::vector<std::uint64_t> again(lp.snapshotWords());
+    lp.snapshotBht(again);
+    EXPECT_EQ(again, snap);
+}
+
+namespace {
+
+/**
+ * The snapshot-queue scheme reuses one buffer per queue slot: a
+ * snapshot written over an older one must equal a fresh snapshot
+ * exactly (no word of the old image may survive), and restoring it
+ * must reproduce the table.
+ */
+void
+checkReusedSnapshotBuffer(LocalPredictor &lp)
+{
+    for (unsigned i = 0; i < 60; ++i)
+        lp.specUpdate(0x400000 + 8 * (i % 12), i % 5 != 0);
+    std::vector<std::uint64_t> reused(lp.snapshotWords());
+    lp.snapshotBht(reused);  // the old image the next write covers
+
+    lp.setAllRepairBits();
+    for (unsigned i = 0; i < 30; ++i)
+        lp.specUpdate(0x600000 + 8 * i, i % 3 == 0);
+    const std::uint64_t *storage = reused.data();
+    lp.snapshotBht(reused);
+    std::vector<std::uint64_t> fresh(lp.snapshotWords());
+    lp.snapshotBht(fresh);
+    EXPECT_EQ(reused, fresh);
+    EXPECT_EQ(reused.data(), storage) << "snapshot must not reallocate";
+
+    for (unsigned i = 0; i < 40; ++i)
+        lp.specUpdate(0x700000 + 8 * i, true);  // clobber
+    lp.restoreBht(reused);
+    std::vector<std::uint64_t> restored(lp.snapshotWords());
+    lp.snapshotBht(restored);
+    EXPECT_EQ(restored, fresh);
+}
+
+} // namespace
+
+TEST(LoopPredictor, SnapshotIntoReusedBufferMatchesFresh)
+{
+    LoopPredictor lp;
+    checkReusedSnapshotBuffer(lp);
+}
+
+TEST(TwoLevel, SnapshotIntoReusedBufferMatchesFresh)
+{
+    LocalTwoLevelPredictor lp;
+    checkReusedSnapshotBuffer(lp);
 }
 
 TEST(LoopPredictor, InvalidateRemovesEntry)
@@ -381,8 +435,11 @@ TEST(TwoLevel, RepairInterfaceParity)
     lp.setAllRepairBits();
     EXPECT_TRUE(lp.testClearRepairBit(0x400a00));
     EXPECT_FALSE(lp.testClearRepairBit(0x400a00));
-    const auto snap = lp.snapshotBht();
+    std::vector<std::uint64_t> snap(lp.snapshotWords());
+    lp.snapshotBht(snap);
     lp.specUpdate(0x400a00, false);
     lp.restoreBht(snap);
-    EXPECT_EQ(lp.snapshotBht(), snap);
+    std::vector<std::uint64_t> again(lp.snapshotWords());
+    lp.snapshotBht(again);
+    EXPECT_EQ(again, snap);
 }

@@ -20,6 +20,7 @@
 
 #include "common/jsonl.hh"
 #include "common/socket.hh"
+#include "common/telemetry.hh"
 #include "common/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "serve/client.hh"
@@ -368,6 +369,52 @@ TEST(Serve, ServerSweepByteIdenticalToLocal)
               static_cast<double>(local.stats.cellsTotal));
     EXPECT_EQ(res.counter("sweep_cells_simulated"),
               static_cast<double>(local.stats.cellsSimulated));
+
+    server.requestDrain();
+    pool.wait();
+    EXPECT_EQ(rc, 0);
+}
+
+// A resident daemon must not accumulate per-request state: warm
+// requests (suite-cache hits) once appended a SuiteTelemetry record per
+// config to the process-wide registry, which nothing in the daemon
+// reads, so its memory grew with every request.
+TEST(Serve, WarmSubmitsLeaveTelemetryRegistryBounded)
+{
+    SuiteCache cache;
+    ServeOptions sopts;
+    sopts.port = 0;
+    sopts.jobs = 1;
+    sopts.cache = &cache;
+    Server server(sopts);
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+
+    ThreadPool pool(1);
+    int rc = -1;
+    pool.submit([&] { rc = server.run(); });
+
+    ServeClientOptions copts;
+    copts.host = "127.0.0.1";
+    copts.port = server.port();
+    copts.suite = 1;
+    copts.warmupInstrs = 500;
+    copts.measureInstrs = 1000;
+    copts.specText = "config baseline\nconfig forward-walk\n";
+    ServeSweepResult cold;
+    ASSERT_TRUE(runServeSweep(copts, cold, err)) << err;
+    const std::size_t afterCold =
+        TelemetryRegistry::process().snapshot().size();
+
+    constexpr int warmRequests = 20;
+    for (int i = 0; i < warmRequests; ++i) {
+        ServeSweepResult warm;
+        ASSERT_TRUE(runServeSweep(copts, warm, err)) << err;
+        ASSERT_EQ(warm.csv, cold.csv);
+        EXPECT_EQ(warm.counter("sweep_cells_simulated"), 0.0);
+    }
+    EXPECT_EQ(TelemetryRegistry::process().snapshot().size(), afterCold)
+        << warmRequests << " warm requests grew the registry";
 
     server.requestDrain();
     pool.wait();

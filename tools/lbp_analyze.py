@@ -66,9 +66,14 @@ Rules (findings print as ``rule:file:line: message``):
 
   no-hot-path-alloc
       Re-hosted from lbp_lint: the per-cycle stage functions of
-      OooCore (core/core.cc) and the predict/update path of
-      TagePredictor (bpu/tage.cc) must not allocate; bodies are found
-      via the scope model rather than brace-counting regexes.
+      OooCore (core/core.cc), the predict/update path of TagePredictor
+      (bpu/tage.cc), the local predictors' whole-BHT snapshot/restore
+      path (bpu/loop_predictor.cc, bpu/local_two_level.cc,
+      bpu/bht_snapshot.hh) and every repair scheme's per-branch hooks
+      (checkpoint, atPredict, atRetire, atMispredict in
+      repair/scheme.cc and repair/schemes.cc) must not allocate;
+      bodies are found via the scope model rather than brace-counting
+      regexes.
 
 Suppression: a finding whose line (or the line above) carries
 ``analyze:allow(<rule>)`` is suppressed. The legacy
@@ -1036,6 +1041,10 @@ def check_banned_calls(sf, findings):
             emit(findings, sf, rule, m.start(), message)
 
 
+# File suffix -> (owning class, or None for any class or free function;
+# hot function names).
+REPAIR_HOOKS = ["checkpoint", "atPredict", "atRetire", "atMispredict"]
+SNAPSHOT_PATH = ["snapshotBht", "restoreBht"]
 HOT_ALLOC_FUNCS = {
     "core/core.cc": ("OooCore", [
         "stepCycle", "retireStage", "resolveStage", "deferStage",
@@ -1046,6 +1055,17 @@ HOT_ALLOC_FUNCS = {
     "bpu/tage.cc": ("TagePredictor", [
         "predict", "specUpdateHist", "checkpoint", "restore", "train",
     ]),
+    # The whole-BHT snapshot/restore path: once per checkpointed branch
+    # (snapshot scheme) or per mispredict (perfect repair).
+    "bpu/loop_predictor.cc": ("LoopPredictor", SNAPSHOT_PATH),
+    "bpu/local_two_level.cc": ("LocalTwoLevelPredictor", SNAPSHOT_PATH),
+    "bpu/bht_snapshot.hh": (None, [
+        "encodeBhtSnapshot", "decodeBhtSnapshot",
+    ]),
+    # Every repair scheme's per-branch hooks, and the helpers they run
+    # per branch.
+    "repair/scheme.cc": ("RepairScheme", REPAIR_HOOKS),
+    "repair/schemes.cc": (None, REPAIR_HOOKS + ["touch", "notePending"]),
 }
 
 HOT_ALLOC_PATTERN = re.compile(
@@ -1067,7 +1087,8 @@ def check_hot_path_alloc(sf, findings):
     for sc in sf.scopes:
         if sc.kind != "function" or sc.name not in names:
             continue
-        if sc.owner is not None and sc.owner != owner:
+        if owner is not None and sc.owner is not None and \
+                sc.owner != owner:
             continue
         body = sf.code[sc.start:sc.end]
         for m in HOT_ALLOC_PATTERN.finditer(body):
@@ -1188,6 +1209,7 @@ FIXTURE_EXPECT = {
     "protocol.hh": {"metric-row-coverage": 1},
     "result_store.hh": {"metric-row-coverage": 1},
     "core.cc": {"no-hot-path-alloc": 2},
+    "schemes.cc": {"no-hot-path-alloc": 2},
     "bad_calls.cc": {"no-raw-assert": 1, "no-raw-random": 1,
                      "no-raw-time": 1},
     "bad_thread.cc": {"no-raw-thread": 1},

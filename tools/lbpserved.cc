@@ -17,6 +17,7 @@
  */
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +27,7 @@
 #include "obs/metrics.hh"
 #include "serve/server.hh"
 #include "sim/result_store.hh"
+#include "cli_args.hh"
 
 using namespace lbp;
 
@@ -134,23 +136,33 @@ parseOptions(int argc, char **argv, Options &opt)
         } else if (flag == "--host") {
             opt.host = v;
         } else if (flag == "--port") {
-            opt.port = static_cast<std::uint16_t>(std::atoi(v));
+            unsigned port = 0;
+            if (!parseIntOption("--port", v, 0u, 65535u, port))
+                return false;
+            opt.port = static_cast<std::uint16_t>(port);
         } else if (flag == "--port-file") {
             opt.portFile = v;
         } else if (flag == "--store") {
             opt.storeDir = v;
         } else if (flag == "--jobs") {
-            opt.jobs = static_cast<unsigned>(std::atoi(v));
+            if (!parseIntOption("--jobs", v, 0u, maxCliJobs, opt.jobs))
+                return false;
         } else if (flag == "--max-queue") {
-            opt.maxQueue = static_cast<std::size_t>(std::atoi(v));
+            if (!parseIntOption("--max-queue", v, std::size_t{0},
+                                SIZE_MAX, opt.maxQueue))
+                return false;
         } else if (flag == "--max-cells") {
-            opt.maxCells = std::strtoull(v, nullptr, 10);
+            if (!parseIntOption("--max-cells", v, std::uint64_t{0},
+                                UINT64_MAX, opt.maxCells))
+                return false;
         } else if (flag == "--queue-timeout") {
             opt.queueTimeout = std::atof(v);
         } else if (flag == "--event-log") {
             opt.eventLogPath = v;
         } else if (flag == "--metrics-port") {
-            opt.metricsPort = std::atoi(v);
+            if (!parseIntOption("--metrics-port", v, 0, 65535,
+                                opt.metricsPort))
+                return false;
         } else if (flag == "--metrics-port-file") {
             opt.metricsPortFile = v;
         } else if (flag == "--heartbeat") {
@@ -158,7 +170,9 @@ parseOptions(int argc, char **argv, Options &opt)
         } else if (flag == "--store-gc-age") {
             opt.gcAge = std::atof(v);
         } else if (flag == "--store-gc-bytes") {
-            opt.gcBytes = std::strtoull(v, nullptr, 10);
+            if (!parseIntOption("--store-gc-bytes", v, std::uint64_t{0},
+                                UINT64_MAX, opt.gcBytes))
+                return false;
         } else if (flag == "--store-gc-interval") {
             opt.gcInterval = std::atof(v);
         } else if (flag == "--trace-out") {

@@ -17,6 +17,7 @@
  * Exit codes: 0 ok, 1 bad usage (fatal() semantics).
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -32,6 +33,7 @@
 #include "sim/runner.hh"
 #include "sim/sweep_spec.hh"
 #include "workload/suite.hh"
+#include "cli_args.hh"
 
 using namespace lbp;
 
@@ -229,16 +231,19 @@ parseOptions(int argc, char **argv, Options &opt)
                 std::fprintf(stderr, "--workload wants Category:N\n");
                 return false;
             }
-            opt.workload = {{std::string(v, colon - v),
-                             static_cast<unsigned>(
-                                 std::atoi(colon + 1))}};
+            unsigned index = 0;
+            if (!parseIntOption("--workload", colon + 1, 0u, UINT_MAX,
+                                index))
+                return false;
+            opt.workload = {{std::string(v, colon - v), index}};
             break;
           }
           case Opt::Suite:
             if (std::string(v) == "all")
                 opt.fullSuite = true;
-            else
-                opt.suite = static_cast<unsigned>(std::atoi(v));
+            else if (!parseIntOption("--suite", v, 0u, UINT_MAX,
+                                     opt.suite))
+                return false;
             break;
           case Opt::Scheme:
             opt.scheme = v;
@@ -263,22 +268,30 @@ parseOptions(int argc, char **argv, Options &opt)
             break;
           }
           case Opt::Loop:
-            opt.loopEntries = static_cast<unsigned>(std::atoi(v));
+            if (!parseIntOption("--loop", v, 0u, UINT_MAX,
+                                opt.loopEntries))
+                return false;
             break;
           case Opt::Tage:
-            opt.tageKB = static_cast<unsigned>(std::atoi(v));
+            if (!parseIntOption("--tage", v, 0u, UINT_MAX, opt.tageKB))
+                return false;
             break;
           case Opt::Warmup:
-            opt.warmup = std::strtoull(v, nullptr, 10);
+            if (!parseIntOption("--warmup", v, std::uint64_t{0},
+                                UINT64_MAX, opt.warmup))
+                return false;
             break;
           case Opt::Instr:
-            opt.instrs = std::strtoull(v, nullptr, 10);
+            if (!parseIntOption("--instr", v, std::uint64_t{0},
+                                UINT64_MAX, opt.instrs))
+                return false;
             break;
           case Opt::Csv:
             opt.csvPath = v;
             break;
           case Opt::Jobs:
-            opt.jobs = static_cast<unsigned>(std::atoi(v));
+            if (!parseIntOption("--jobs", v, 0u, maxCliJobs, opt.jobs))
+                return false;
             break;
           case Opt::ThroughputJson:
             opt.throughputJson = v;
@@ -290,19 +303,26 @@ parseOptions(int argc, char **argv, Options &opt)
             opt.traceKonata = v;
             break;
           case Opt::TraceWindow:
-            opt.traceWindow = std::strtoull(v, nullptr, 10);
+            if (!parseIntOption("--trace-window", v, std::uint64_t{0},
+                                UINT64_MAX, opt.traceWindow))
+                return false;
             break;
           case Opt::ForensicsCsv:
             opt.forensicsCsv = v;
             break;
           case Opt::ForensicsStride:
-            opt.forensicsStride = std::strtoull(v, nullptr, 10);
+            if (!parseIntOption("--forensics-stride", v,
+                                std::uint64_t{0}, UINT64_MAX,
+                                opt.forensicsStride))
+                return false;
             break;
           case Opt::MetricsJson:
             opt.metricsJson = v;
             break;
           case Opt::TopOffenders:
-            opt.topOffenders = static_cast<unsigned>(std::atoi(v));
+            if (!parseIntOption("--top-offenders", v, 0u, UINT_MAX,
+                                opt.topOffenders))
+                return false;
             break;
         }
     }

@@ -20,6 +20,8 @@
  * Exit codes: 0 ok, 1 bad usage, unwritable output or server failure.
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,6 +41,7 @@
 #include "sim/sweep.hh"
 #include "sim/sweep_spec.hh"
 #include "workload/suite.hh"
+#include "cli_args.hh"
 
 using namespace lbp;
 
@@ -153,15 +156,21 @@ parseOptions(int argc, char **argv, Options &opt)
             if (std::string(v) == "all") {
                 opt.fullSuite = true;
                 opt.suite = 0;
-            } else {
-                opt.suite = static_cast<unsigned>(std::atoi(v));
+            } else if (!parseIntOption("--suite", v, 0u, UINT_MAX,
+                                       opt.suite)) {
+                return false;
             }
         } else if (flag == "--warmup") {
-            opt.warmup = std::strtoull(v, nullptr, 10);
+            if (!parseIntOption("--warmup", v, std::uint64_t{0},
+                                UINT64_MAX, opt.warmup))
+                return false;
         } else if (flag == "--instr") {
-            opt.instrs = std::strtoull(v, nullptr, 10);
+            if (!parseIntOption("--instr", v, std::uint64_t{0},
+                                UINT64_MAX, opt.instrs))
+                return false;
         } else if (flag == "--jobs") {
-            opt.jobs = static_cast<unsigned>(std::atoi(v));
+            if (!parseIntOption("--jobs", v, 0u, maxCliJobs, opt.jobs))
+                return false;
         } else if (flag == "--store") {
             opt.storeDir = v;
             opt.storeFromFlag = true;
@@ -182,7 +191,9 @@ parseOptions(int argc, char **argv, Options &opt)
         } else if (flag == "--store-gc-age") {
             opt.gcAge = std::atof(v);
         } else if (flag == "--store-gc-bytes") {
-            opt.gcBytes = std::strtoull(v, nullptr, 10);
+            if (!parseIntOption("--store-gc-bytes", v, std::uint64_t{0},
+                                UINT64_MAX, opt.gcBytes))
+                return false;
         } else if (flag == "--quiet") {
             opt.quiet = true;
         }
@@ -310,8 +321,11 @@ runServerMode(const Options &opt, const SweepSpec &spec,
     if (colon == std::string::npos || colon + 1 >= opt.server.size())
         die("--server wants host:port");
     copts.host = opt.server.substr(0, colon);
-    copts.port = static_cast<std::uint16_t>(
-        std::atoi(opt.server.c_str() + colon + 1));
+    unsigned port = 0;
+    if (!parseIntOption("--server", opt.server.c_str() + colon + 1, 1u,
+                        65535u, port))
+        std::exit(1);
+    copts.port = static_cast<std::uint16_t>(port);
     copts.specText = specText;
     copts.suite = opt.suite;
     copts.fullSuite = opt.fullSuite;
