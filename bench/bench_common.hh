@@ -17,6 +17,8 @@
 #define LBP_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -40,7 +42,12 @@ struct Context
     make(const char *title)
     {
         Context ctx;
-        ctx.env = BenchEnv::fromEnvironment();
+        try {
+            ctx.env = BenchEnv::fromEnvironment();
+        } catch (const std::invalid_argument &e) {
+            std::fprintf(stderr, "%s\n", e.what());
+            std::exit(2);
+        }
         SuiteOptions opts;
         opts.maxWorkloads = ctx.env.maxWorkloads;
         ctx.suite = buildSuite(opts);

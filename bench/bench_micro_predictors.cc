@@ -152,7 +152,7 @@ BENCHMARK(BM_CoreStepCycle);
  * Direct stepCycle-level throughput probe: one warmed core, a fixed
  * program and instruction count, timed with the telemetry stopwatch so
  * the result lands in the same registry/JSON that the suite benches
- * feed (and that tools/perf_compare.py gates in CI).
+ * feed. The CI perf-smoke job runs it as a smoke step.
  */
 void
 coreThroughputProbe()

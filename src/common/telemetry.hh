@@ -4,11 +4,12 @@
  * stopwatch, per-suite throughput records, and a process-wide registry
  * the benches and lbpsim dump as a machine-readable JSON file.
  *
- * This file (and telemetry.cc) is the only place in src/ allowed to
- * touch wall-clock time — tools/lbp_lint.py exempts it from the
- * no-raw-time rule. Telemetry is observational only: nothing simulated
- * may ever depend on a Stopwatch reading, or run-to-run determinism
- * dies. Keep clock reads out of every other translation unit.
+ * The Stopwatch class is the only code in src/ allowed to touch
+ * wall-clock time — tools/lbp_analyze.py's no-raw-time rule allows its
+ * scope and no other. Telemetry is observational only: nothing
+ * simulated may ever depend on a Stopwatch reading, or run-to-run
+ * determinism dies. Keep clock reads out of every other translation
+ * unit.
  */
 
 #ifndef LBP_COMMON_TELEMETRY_HH

@@ -1,23 +1,29 @@
 #include "common/thread_pool.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
 #include <memory>
 
+#include "common/parse.hh"
 #include "common/telemetry.hh"
 
 namespace lbp {
+
+unsigned
+envJobs()
+{
+    const std::uint64_t v = envBounded<std::uint64_t>(
+        "REPRO_JOBS", 0, UINT64_MAX, 0);
+    return static_cast<unsigned>(std::min<std::uint64_t>(v, maxJobs));
+}
 
 unsigned
 resolveJobs(unsigned requested)
 {
     if (requested)
         return requested;
-    if (const char *s = std::getenv("REPRO_JOBS")) {
-        const unsigned long v = std::strtoul(s, nullptr, 10);
-        if (v)
-            return static_cast<unsigned>(std::min(v, 1024ul));
-    }
+    if (const unsigned env = envJobs())
+        return env;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }

@@ -16,8 +16,9 @@
  *  - Accountability: per-worker busy time is tracked so the harness
  *    can report utilization alongside wall-clock throughput.
  *
- * This file (and thread_pool.cc) is the only place in src/ allowed to
- * spawn threads — tools/lbp_lint.py's no-raw-thread rule enforces it.
+ * The ThreadPool class and resolveJobs() are the only code in src/
+ * allowed to touch threads — tools/lbp_analyze.py's no-raw-thread rule
+ * enforces it.
  * Everything else goes through ThreadPool so TSan coverage and
  * shutdown behaviour stay centralized.
  */
@@ -37,10 +38,19 @@
 
 namespace lbp {
 
+/** Most worker threads REPRO_JOBS or a --jobs flag may ask for. */
+constexpr unsigned maxJobs = 1024;
+
 /**
- * Resolve a worker count: @p requested if non-zero, else the
- * REPRO_JOBS environment variable, else hardware concurrency
- * (minimum 1).
+ * The REPRO_JOBS environment variable: 0 when unset, capped at
+ * maxJobs. A value parseBounded() rejects throws std::invalid_argument
+ * naming the variable.
+ */
+unsigned envJobs();
+
+/**
+ * Resolve a worker count: @p requested if non-zero, else envJobs() if
+ * non-zero, else hardware concurrency (minimum 1).
  */
 unsigned resolveJobs(unsigned requested);
 

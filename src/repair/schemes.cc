@@ -374,7 +374,8 @@ SnapshotScheme::storageKB() const
 LimitedPcScheme::LimitedPcScheme(std::unique_ptr<LocalPredictor> lp,
                                  const RepairConfig &cfg)
     : RepairScheme(std::move(lp), cfg),
-      payloadRing_(1u << payloadRingLog)
+      payloadSlots_(1u << payloadRingLog),
+      payloadPcs_(payloadSlots_.size() * cfg.limitedM)
 {
     lbp_assert(cfg.limitedM >= 1 && cfg.limitedM <= maxM);
 }
@@ -409,7 +410,9 @@ LimitedPcScheme::RecentPcs::touch(Addr pc)
 void
 LimitedPcScheme::checkpoint(DynInst &di, Cycle)
 {
-    Payload &p = payloadRing_[di.seq & (payloadRing_.size() - 1)];
+    const std::size_t slot = slotOf(di.seq);
+    PayloadSlot &p = payloadSlots_[slot];
+    PcState *const pcs = payloadPcs(slot);
     p.seq = di.seq;
     p.count = 0;
 
@@ -418,9 +421,9 @@ LimitedPcScheme::checkpoint(DynInst &di, Cycle)
         if (p.count >= m)
             return;
         for (unsigned i = 0; i < p.count; ++i)
-            if (p.pcs[i].first == pc)
+            if (pcs[i].first == pc)
                 return;
-        p.pcs[p.count++] = {pc, st};
+        pcs[p.count++] = {pc, st};
     };
 
     // 1. The branch always repairs itself.
@@ -461,15 +464,16 @@ LimitedPcScheme::atMispredict(DynInst &di, Cycle now)
 {
     RepairScheme::atMispredict(di, now);
     lastRepairCount_ = 0;
-    const Payload &p =
-        payloadRing_[di.seq & (payloadRing_.size() - 1)];
+    const std::size_t slot = slotOf(di.seq);
+    const PayloadSlot &p = payloadSlots_[slot];
+    const PcState *const pcs = payloadPcs(slot);
     if (!di.br.checkpointed || p.seq != di.seq) {
         ++stats_.uncheckpointedMispredicts;
         return;
     }
 
     for (unsigned i = 0; i < p.count; ++i) {
-        const auto &[pc, st] = p.pcs[i];
+        const auto &[pc, st] = pcs[i];
         if (pc == di.pc)
             lp_->writeState(pc, lp_->advanceState(st, di.actualDir));
         else
@@ -486,7 +490,7 @@ LimitedPcScheme::atMispredict(DynInst &di, Cycle now)
         for (Addr pc : pollutedListSince(di.seq)) {
             bool repaired = false;
             for (unsigned i = 0; i < p.count; ++i)
-                if (p.pcs[i].first == pc)
+                if (pcs[i].first == pc)
                     repaired = true;
             if (!repaired)
                 lp_->invalidateEntry(pc);

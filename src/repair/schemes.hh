@@ -222,12 +222,27 @@ class LimitedPcScheme : public RepairScheme
   private:
     static constexpr unsigned payloadRingLog = 13;
 
-    struct Payload
+    /** One repair-set entry: a PC and its pre-update local state. */
+    using PcState = std::pair<Addr, LocalState>;
+
+    /** Which instruction owns a payload slot, and how full it is. */
+    struct PayloadSlot
     {
-        std::array<std::pair<Addr, LocalState>, maxM> pcs;
         std::uint8_t count = 0;
         InstSeq seq = invalidSeq;
     };
+
+    /** Ring index of the payload slot for instruction seq. */
+    std::size_t slotOf(InstSeq seq) const
+    {
+        return seq & (payloadSlots_.size() - 1);
+    }
+
+    /** The limitedM repair-set entries of payload slot i. */
+    PcState *payloadPcs(std::size_t i)
+    {
+        return payloadPcs_.data() + i * cfg_.limitedM;
+    }
 
     /**
      * Distinct PCs, most recent last, keeping the newest 2 * maxM: a
@@ -252,7 +267,8 @@ class LimitedPcScheme : public RepairScheme
         unsigned size_ = 0;
     };
 
-    std::vector<Payload> payloadRing_;
+    std::vector<PayloadSlot> payloadSlots_;  ///< 1 << payloadRingLog
+    std::vector<PcState> payloadPcs_;        ///< limitedM per slot
     RecentPcs overrideLru_;    ///< recent correct overriders
     RecentPcs recentUpdates_;  ///< recent BHT-updated PCs
     std::array<Addr, maxM> lastRepairSet_{};  ///< PCs the last repair wrote

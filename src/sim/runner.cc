@@ -1,12 +1,15 @@
 #include "sim/runner.hh"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/stats.hh"
 #include "common/thread_pool.hh"
 
@@ -289,15 +292,13 @@ BenchEnv
 BenchEnv::fromEnvironment()
 {
     BenchEnv env;
-    if (const char *s = std::getenv("REPRO_INSTR"))
-        env.measureInstrs = std::strtoull(s, nullptr, 10);
-    if (const char *s = std::getenv("REPRO_WARMUP"))
-        env.warmupInstrs = std::strtoull(s, nullptr, 10);
-    if (const char *s = std::getenv("REPRO_WORKLOADS"))
-        env.maxWorkloads = static_cast<unsigned>(
-            std::strtoul(s, nullptr, 10));
-    if (const char *s = std::getenv("REPRO_JOBS"))
-        env.jobs = static_cast<unsigned>(std::strtoul(s, nullptr, 10));
+    env.measureInstrs = envBounded<std::uint64_t>(
+        "REPRO_INSTR", 0, UINT64_MAX, env.measureInstrs);
+    env.warmupInstrs = envBounded<std::uint64_t>(
+        "REPRO_WARMUP", 0, UINT64_MAX, env.warmupInstrs);
+    env.maxWorkloads = envBounded<unsigned>(
+        "REPRO_WORKLOADS", 0, UINT_MAX, env.maxWorkloads);
+    env.jobs = envJobs();
     return env;
 }
 

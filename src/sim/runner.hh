@@ -143,7 +143,11 @@ struct BenchEnv
     unsigned maxWorkloads = 0;  ///< 0 = the full 202-workload suite
     unsigned jobs = 0;          ///< REPRO_JOBS; 0 = hardware concurrency
 
-    /** Read REPRO_INSTR / REPRO_WARMUP / REPRO_WORKLOADS / REPRO_JOBS. */
+    /**
+     * Read REPRO_INSTR / REPRO_WARMUP / REPRO_WORKLOADS / REPRO_JOBS
+     * (common/parse.hh; REPRO_JOBS via envJobs()). A value that is not
+     * a plain decimal throws std::invalid_argument naming the variable.
+     */
     static BenchEnv fromEnvironment();
     /** Copy the instruction budgets into @p cfg. */
     void apply(SimConfig &cfg) const;

@@ -3,7 +3,7 @@
  * Determinism regression: two executions of the same seeded
  * configuration must produce bit-identical results. Every source of
  * randomness in the tree flows from the explicit seeds in
- * common/random.hh (enforced by tools/lbp_lint.py), so any divergence
+ * common/random.hh (enforced by tools/lbp_analyze.py), so any divergence
  * here means hidden state leaked between runs — iteration-order
  * dependence, uninitialized reads, or wall-clock coupling.
  */

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
+#include "common/parse.hh"
 #include "sim/runner.hh"
 #include "sim/suite_cache.hh"
 #include "workload/suite.hh"
@@ -38,6 +42,8 @@ TEST(BenchEnv, ReadsOverrides)
     EXPECT_EQ(env.warmupInstrs, 777u);
     EXPECT_EQ(env.maxWorkloads, 9u);
     EXPECT_EQ(env.jobs, 3u);
+    setenv("REPRO_WARMUP", "12k", 1);
+    EXPECT_THROW(BenchEnv::fromEnvironment(), std::invalid_argument);
     unsetenv("REPRO_INSTR");
     unsetenv("REPRO_WARMUP");
     unsetenv("REPRO_WORKLOADS");
@@ -50,6 +56,29 @@ TEST(BenchEnv, ReadsOverrides)
     e2.apply(cfg);
     EXPECT_EQ(cfg.warmupInstrs, 111u);
     EXPECT_EQ(cfg.measureInstrs, 222u);
+}
+
+TEST(BenchEnv, EnvValuesParseStrictly)
+{
+    EXPECT_EQ(parseEnvValue<std::uint64_t>("REPRO_INSTR", "12345", 0,
+                                           UINT64_MAX),
+              12345u);
+    EXPECT_EQ(parseEnvValue<unsigned>("REPRO_WORKLOADS", "0", 0, 202), 0u);
+    // Junk used to become 0 (REPRO_INSTR=abc measured nothing); now it
+    // is an error that names the variable and the accepted range.
+    for (const char *bad : {"abc", "", " 5", "5 ", "5x", "-1", "+3", "0x10",
+                            "99999999999999999999999"}) {
+        try {
+            parseEnvValue<std::uint64_t>("REPRO_INSTR", bad, 0, UINT64_MAX);
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("REPRO_INSTR"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW(parseEnvValue<unsigned>("REPRO_WORKLOADS", "203", 0, 202),
+                 std::invalid_argument);
 }
 
 TEST(Runner, RunOneFillsEveryField)

@@ -38,6 +38,11 @@ TEST(ResolveJobs, ReadsReproJobsEnv)
     EXPECT_EQ(resolveJobs(0), 1024u);  // sanity clamp
     ASSERT_EQ(setenv("REPRO_JOBS", "0", 1), 0);
     EXPECT_GE(resolveJobs(0), 1u);     // 0 falls through to hardware
+    // Junk is an error, not a silent 0; only a count is returned, no
+    // pool is started.
+    ASSERT_EQ(setenv("REPRO_JOBS", "4x", 1), 0);
+    EXPECT_THROW(resolveJobs(0), std::invalid_argument);
+    EXPECT_EQ(resolveJobs(2), 2u);     // an explicit count never reads it
     unsetenv("REPRO_JOBS");
     EXPECT_GE(resolveJobs(0), 1u);
 }

@@ -1,7 +1,7 @@
 // Negative fixture: a *Stats struct with one live counter (written in
 // counters_user.cc) and one declared-but-dead counter.
-#ifndef LBP_ANALYZE_FIXTURE_BAD_COUNTERS_HH
-#define LBP_ANALYZE_FIXTURE_BAD_COUNTERS_HH
+#ifndef LBP_BAD_COUNTERS_HH
+#define LBP_BAD_COUNTERS_HH
 
 #include <cstdint>
 

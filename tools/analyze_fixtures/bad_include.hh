@@ -1,6 +1,6 @@
 // Seeded violations: a guard that does not follow LBP_<DIR>_<FILE>_HH
 // and an include that escapes the source root with "../".
-// lbp_lint must flag include-guard and no-parent-include.
+// Must be flagged with include-guard and no-parent-include.
 
 #ifndef WRONG_GUARD_H
 #define WRONG_GUARD_H

@@ -1,7 +1,7 @@
 // Negative fixture: containers keyed by pointer values order/bucket by
 // allocator addresses, which vary run to run.
-#ifndef LBP_ANALYZE_FIXTURE_BAD_POINTER_KEY_HH
-#define LBP_ANALYZE_FIXTURE_BAD_POINTER_KEY_HH
+#ifndef LBP_BAD_POINTER_KEY_HH
+#define LBP_BAD_POINTER_KEY_HH
 
 #include <map>
 #include <unordered_map>

@@ -1,6 +1,6 @@
 // Seeded violation: a predictor that speculatively updates its state
 // at predict-time but does not expose the checkpoint/repair interface.
-// lbp_lint must flag this with predictor-repair-interface.
+// Must be flagged with predictor-repair-interface.
 
 #ifndef LBP_BAD_PREDICTOR_HH
 #define LBP_BAD_PREDICTOR_HH

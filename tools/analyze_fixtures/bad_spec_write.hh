@@ -1,8 +1,8 @@
 // Negative fixture: a LocalPredictor subclass mutating its state from
 // predict() and from a helper reachable only from predict(). Both
 // writes bypass the repair interface and must be flagged.
-#ifndef LBP_ANALYZE_FIXTURE_BAD_SPEC_WRITE_HH
-#define LBP_ANALYZE_FIXTURE_BAD_SPEC_WRITE_HH
+#ifndef LBP_BAD_SPEC_WRITE_HH
+#define LBP_BAD_SPEC_WRITE_HH
 
 #include <set>
 
@@ -24,6 +24,17 @@ struct BadLocal : public LocalPredictor {
         hist_ += 1;  // expect: spec-state-write (caller unsanctioned)
         return static_cast<int>(hist_) ^ pc;
     }
+
+    // The checkpoint/repair interface predictor-repair-interface
+    // demands of every speculatively updated LocalPredictor.
+    void readState(int pc);
+    void writeState(int pc, unsigned state);
+    void advanceState(int pc, bool dir);
+    void invalidateEntry(int pc);
+    void setAllRepairBits();
+    bool testClearRepairBit(int pc);
+    void snapshotBht(unsigned *out) const;
+    void restoreBht(const unsigned *in);
 
     unsigned hist_ = 0;
     std::set<int> table_;

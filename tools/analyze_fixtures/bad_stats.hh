@@ -1,5 +1,5 @@
 // Seeded violation: a Stats counter that no reporting-layer file ever
-// references. lbp_lint must flag stats-counter-reported.
+// references. Must be flagged with stats-counter-reported.
 
 #ifndef LBP_BAD_STATS_HH
 #define LBP_BAD_STATS_HH

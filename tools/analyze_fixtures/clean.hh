@@ -1,7 +1,11 @@
-// Clean fixture: ordered containers, stable integer keys, no
-// speculative state, no banned calls — zero findings expected.
-#ifndef LBP_ANALYZE_FIXTURE_CLEAN_HH
-#define LBP_ANALYZE_FIXTURE_CLEAN_HH
+// Clean fixture: correct guard, ordered containers, stable integer
+// keys, no speculative state, no banned calls — zero findings
+// expected. Mentions of "prediction time (stored below)" and "operand
+// assert(ions)" in comments — and banned tokens inside string
+// literals — must NOT be flagged; the lexer strips comments and
+// strings first.
+#ifndef LBP_CLEAN_HH
+#define LBP_CLEAN_HH
 
 #include <cstdint>
 #include <map>
@@ -21,5 +25,11 @@ struct CleanTable {
 
     std::map<std::uint32_t, std::uint64_t> rows_;
 };
+
+inline const char *
+bannedWordsInStrings()
+{
+    return "assert( rand( time( <random> <ctime> system_clock";
+}
 
 #endif

@@ -1,8 +1,8 @@
 // Clean fixture: all mutations sit inside sanctioned methods or a
 // private helper reachable only from sanctioned methods (the
 // transitive-sanction case, like LoopPredictor::runFor).
-#ifndef LBP_ANALYZE_FIXTURE_CLEAN_SPEC_HH
-#define LBP_ANALYZE_FIXTURE_CLEAN_SPEC_HH
+#ifndef LBP_CLEAN_SPEC_HH
+#define LBP_CLEAN_SPEC_HH
 
 #include <vector>
 
@@ -23,6 +23,17 @@ struct CleanLocal : public LocalPredictor {
         (void)pc;
         roll(dir);
     }
+
+    // The checkpoint/repair interface predictor-repair-interface
+    // demands of every speculatively updated LocalPredictor.
+    void readState(int pc);
+    void writeState(int pc, unsigned state);
+    void advanceState(int pc, bool dir);
+    void invalidateEntry(int pc);
+    void setAllRepairBits();
+    bool testClearRepairBit(int pc);
+    void snapshotBht(unsigned *out) const;
+    void restoreBht(const unsigned *in);
 
   private:
     void roll(bool dir)

@@ -1,6 +1,6 @@
 // Negative fixture for no-hot-path-alloc: the path ends in
 // core/core.cc, so OooCore's per-cycle stage bodies are hot. Two raw
-// allocations fire; one carries the legacy allow marker; a non-hot
+// allocations fire; one carries an allow marker; a non-hot
 // method may allocate freely.
 #include <cstdint>
 #include <vector>
@@ -24,9 +24,9 @@ void OooCore::allocStage()
 {
     Inst *slot = new Inst;  // expect: no-hot-path-alloc
     (void)slot;
-    // lint:allow-hot-alloc: one-time growth, amortized out of steady
-    // state.
-    trace_.reserve(64);  // suppressed by the legacy marker
+    // analyze:allow(no-hot-path-alloc): one-time growth, amortized
+    // out of steady state.
+    trace_.reserve(64);  // suppressed by the marker above
 }
 
 void OooCore::drainStats()

@@ -3,8 +3,8 @@
 // metrics.cc; 'fixOrphanServe' has no row (one finding, anchored here
 // at the struct declaration). Both fields are kept alive for the
 // stats-counter-dead rule by counters_user.cc.
-#ifndef LBP_ANALYZE_FIXTURE_PROTOCOL_HH
-#define LBP_ANALYZE_FIXTURE_PROTOCOL_HH
+#ifndef LBP_PROTOCOL_HH
+#define LBP_PROTOCOL_HH
 
 #include <cstdint>
 

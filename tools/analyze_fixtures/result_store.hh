@@ -3,8 +3,8 @@
 // metrics.cc; 'fixOrphanStore' has no row (one finding, anchored here
 // at the struct declaration). Both fields are kept alive for the
 // stats-counter-dead rule by counters_user.cc.
-#ifndef LBP_ANALYZE_FIXTURE_RESULT_STORE_HH
-#define LBP_ANALYZE_FIXTURE_RESULT_STORE_HH
+#ifndef LBP_RESULT_STORE_HH
+#define LBP_RESULT_STORE_HH
 
 #include <cstdint>
 

@@ -2,8 +2,8 @@
 // 'stats.cycles' are each exported by exactly one row in metrics.cc;
 // 'dup' is exported twice and 'orphan' not at all (two findings,
 // anchored here at the struct declarations).
-#ifndef LBP_ANALYZE_FIXTURE_RUNNER_HH
-#define LBP_ANALYZE_FIXTURE_RUNNER_HH
+#ifndef LBP_RUNNER_HH
+#define LBP_RUNNER_HH
 
 #include <cstdint>
 

@@ -2,7 +2,7 @@
  * @file
  * Integer command-line options for lbpsim, lbpsweep and lbpserved.
  *
- * Every integer flag goes through parseBounded() (sim/sweep_spec.hh),
+ * Every integer flag goes through parseBounded() (common/parse.hh),
  * the same strict parser as the sweep-spec grammar: a value with a
  * sign, blanks, trailing junk or outside the flag's range is a usage
  * error instead of silently becoming 0 (so `--suite abc` no longer
@@ -13,13 +13,12 @@
 #define LBP_TOOLS_CLI_ARGS_HH
 
 #include <cstdio>
+#include <stdexcept>
 
-#include "sim/sweep_spec.hh"
+#include "common/parse.hh"
+#include "common/thread_pool.hh"
 
 namespace lbp {
-
-/** Most worker threads a --jobs flag may ask for (REPRO_JOBS's cap). */
-constexpr unsigned maxCliJobs = 1024;
 
 /**
  * Parse @p text, the value of @p flag, as a decimal in [@p lo, @p hi]
@@ -36,6 +35,22 @@ parseIntOption(const char *flag, const char *text, T lo, T hi, T &out)
                  flag, static_cast<unsigned long long>(lo),
                  static_cast<unsigned long long>(hi), text);
     return false;
+}
+
+/**
+ * Check REPRO_JOBS up front: a junk value is a usage error naming the
+ * variable, not an exception out of the first resolveJobs().
+ */
+inline bool
+reproJobsValid()
+{
+    try {
+        envJobs();
+        return true;
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return false;
+    }
 }
 
 } // namespace lbp

@@ -24,6 +24,7 @@
 #include <fstream>
 #include <string>
 
+#include "common/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "serve/server.hh"
 #include "sim/result_store.hh"
@@ -145,7 +146,7 @@ parseOptions(int argc, char **argv, Options &opt)
         } else if (flag == "--store") {
             opt.storeDir = v;
         } else if (flag == "--jobs") {
-            if (!parseIntOption("--jobs", v, 0u, maxCliJobs, opt.jobs))
+            if (!parseIntOption("--jobs", v, 0u, maxJobs, opt.jobs))
                 return false;
         } else if (flag == "--max-queue") {
             if (!parseIntOption("--max-queue", v, std::size_t{0},
@@ -203,7 +204,7 @@ main(int argc, char **argv)
     Options opt;
     if (const char *env = std::getenv("REPRO_RESULT_STORE"))
         opt.storeDir = env;
-    if (!parseOptions(argc, argv, opt))
+    if (!parseOptions(argc, argv, opt) || !reproJobsValid())
         return 1;
 
     ResultStore store(opt.storeDir);

@@ -290,7 +290,7 @@ parseOptions(int argc, char **argv, Options &opt)
             opt.csvPath = v;
             break;
           case Opt::Jobs:
-            if (!parseIntOption("--jobs", v, 0u, maxCliJobs, opt.jobs))
+            if (!parseIntOption("--jobs", v, 0u, maxJobs, opt.jobs))
                 return false;
             break;
           case Opt::ThroughputJson:
@@ -529,7 +529,7 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseOptions(argc, argv, opt))
+    if (!parseOptions(argc, argv, opt) || !reproJobsValid())
         return 1;
 
     if (opt.list) {

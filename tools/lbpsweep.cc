@@ -169,7 +169,7 @@ parseOptions(int argc, char **argv, Options &opt)
                                 UINT64_MAX, opt.instrs))
                 return false;
         } else if (flag == "--jobs") {
-            if (!parseIntOption("--jobs", v, 0u, maxCliJobs, opt.jobs))
+            if (!parseIntOption("--jobs", v, 0u, maxJobs, opt.jobs))
                 return false;
         } else if (flag == "--store") {
             opt.storeDir = v;
@@ -406,7 +406,7 @@ main(int argc, char **argv)
     Options opt;
     if (const char *env = std::getenv("REPRO_RESULT_STORE"))
         opt.storeDir = env;
-    if (!parseOptions(argc, argv, opt))
+    if (!parseOptions(argc, argv, opt) || !reproJobsValid())
         return 1;
 
     if (opt.storeGc)
